@@ -1,14 +1,16 @@
 """Structure-preserving Runge-Kutta integration on symmetric spaces.
 
 Three concrete geometries are shipped: the unit n-sphere, hyperbolic n-space
-in the hyperboloid model, and SPD matrices. Each supplies closed-form
-geodesic exponentials, parallel transport and triple brackets to a common
-stepping core, plus a hand-tuned stepper of its own. The `harness` module
+in the hyperboloid model, and SPD matrices. Each supplies a per-step chart
+(closed-form geodesic exponential, parallel transport back to the base,
+dExp^{-1} or the double bracket feeding its series) to the single stepping
+core, `cssi_step`, which `integrate` marches. The `harness` module
 adds benchmark problems, convergence-order studies and CSV emission behind
 the `symmflow` command-line tool.
 """
 
 from .core import (
+    Chart,
     DexpinvSeries,
     SpaceContract,
     StepRecord,
@@ -32,16 +34,17 @@ from .errors import (
     SymmflowError,
     UnknownTableau,
 )
-from .hyperbolic import HYPERBOLOID, HyperbolicSpace, chi_integrate, chi_step
+from .hyperbolic import HYPERBOLOID, HyperbolicSpace
 from .linalg import mat_exp, minkowski, spd_inv, spd_sqrt, sym_eig
-from .spd import SPD, SpdSpace, csgi_integrate, csgi_step, spd_sqrt_update
-from .sphere import SPHERE, SphereSpace, csi_integrate, csi_step
+from .spd import SPD, SpdSpace
+from .sphere import SPHERE, SphereSpace
 from .tableau import ButcherTableau, builtin_tableau, check_order_conditions
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ButcherTableau",
+    "Chart",
     "DexpinvSeries",
     "DimensionMismatch",
     "FixedPointDivergence",
@@ -65,12 +68,6 @@ __all__ = [
     "UnknownTableau",
     "builtin_tableau",
     "check_order_conditions",
-    "chi_integrate",
-    "chi_step",
-    "csgi_integrate",
-    "csgi_step",
-    "csi_integrate",
-    "csi_step",
     "cssi_step",
     "dexpinv_series_apply",
     "integrate",
@@ -79,7 +76,6 @@ __all__ = [
     "minkowski",
     "spd_inv",
     "spd_sqrt",
-    "spd_sqrt_update",
     "sym_eig",
     "triple_bracket_oracle",
 ]

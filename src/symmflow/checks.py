@@ -9,7 +9,8 @@ Three groups, each a list of (name, worst residual, bound) comparisons:
 * oracle: closed forms re-derived through an independent route, i.e. the
   ambient matrix exponential of hat matrices, nested matrix commutators,
   composition with the forward differential, the Bernoulli-number series,
-  and the generic stepper against the specialized ones.
+  and the chart-based step against `ambient_step`, an explicit step built
+  from those ambient routes alone.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from . import hyperbolic, sphere
 from .core import (
     DexpinvSeries,
     cssi_step,
-    dexpinv_coefficients,
+    dexpinv_series_apply,
     lts_axiom_residuals,
     triple_bracket_oracle,
 )
-from .linalg import mat_exp, minkowski, spd_inv, spd_sqrt
-from .spd import SPD, csgi_step, random_spd, random_sym
+from .linalg import mat_exp, minkowski, spd_inv, spd_sqrt, symmetrize
+from .spd import SPD, random_spd, random_sym
 from .spd import ad2 as spd_ad2
 from .spd import triple as spd_triple
 from .tableau import builtin_tableau
@@ -68,6 +69,62 @@ def dexp_forward_hyperbolic(theta, w):
     phi = math.sqrt(phi2)
     normal = w + (minkowski(theta, w) / phi2) * theta
     return w + (math.sinh(phi) / phi - 1.0) * normal
+
+
+def ambient_step(space: str, tableau, field, y, h: float, terms: int = 10):
+    """One explicit Runge-Kutta step at y, computed in ambient coordinates.
+
+    An independent route to `cssi_step` for `space` in "sphere", "hyperbolic"
+    and "spd". Exp is the matrix exponential of the hat matrix applied to y
+    (y exp(y^{-1} v) on SPD, which needs no square root); the pullback is the
+    inverse transvection exp(-hat theta) (y mid^{-1} w mid^{-1} y on SPD);
+    dExp^{-1} is the `terms`-term series over `triple_bracket_oracle`.
+    """
+    if not tableau.is_explicit:
+        raise ValueError("the ambient oracle step takes explicit tableaus only")
+    if space == "spd":
+        y_inv = spd_inv(y)
+
+        def exp(v):
+            return symmetrize(y @ mat_exp(y_inv @ v))
+
+        def pullback(theta, w):
+            mid_inv = spd_inv(exp(0.5 * theta))
+            return symmetrize(y @ mid_inv @ w @ mid_inv @ y)
+
+        # [u, v, w] at y is (1/4) y [[y^-1 u, y^-1 v], y^-1 w], which is
+        # (1/4) [[u y^-1, v y^-1], w y^-1] y.
+        def ad2(theta, w):
+            return 0.25 * triple_bracket_oracle(lambda m: m @ y_inv, y, w, theta, theta)
+
+    else:
+        module = {"sphere": sphere, "hyperbolic": hyperbolic}[space]
+
+        def hat(v):
+            return module.hat_matrix(y, v)
+
+        def exp(v):
+            return mat_exp(hat(v)) @ y
+
+        def pullback(theta, w):
+            return mat_exp(-hat(theta)) @ w
+
+        def ad2(theta, w):
+            return triple_bracket_oracle(hat, y, w, theta, theta)
+
+    series = DexpinvSeries.with_terms(terms)
+    a, b = tableau.a, tableau.b
+    ktil = []
+    for i in range(tableau.stages):
+        theta = np.zeros_like(y)
+        for j in range(i):
+            theta = theta + a[i, j] * ktil[j]
+        k = pullback(theta, h * field(exp(theta)))
+        ktil.append(dexpinv_series_apply(series, lambda w: ad2(theta, w), k))
+    theta = np.zeros_like(y)
+    for j in range(tableau.stages):
+        theta = theta + b[j] * ktil[j]
+    return exp(theta)
 
 
 def identity_suite(seed: int = 0) -> list[CheckResult]:
@@ -171,11 +228,11 @@ def identity_suite(seed: int = 0) -> list[CheckResult]:
     # Zero fields leave every stepper exactly in place.
     tableau = builtin_tableau("rk4")
     zero3 = lambda p: np.zeros_like(p)
-    y1, _ = sphere.csi_step(tableau, zero3, y, 0.5)
-    z1, _ = hyperbolic.chi_step(tableau, zero3, z, 0.5)
+    y1, _ = cssi_step(sphere.SPHERE, tableau, zero3, y, 0.5)
+    z1, _ = cssi_step(hyperbolic.HYPERBOLOID, tableau, zero3, z, 0.5)
     worst = max(float(np.max(np.abs(y1 - y))), float(np.max(np.abs(z1 - z))))
     yspd = random_spd(rng, 3)
-    s1, _ = csgi_step(tableau, lambda p: np.zeros_like(p), yspd, 0.5)
+    s1, _ = cssi_step(SPD, tableau, lambda p: np.zeros_like(p), yspd, 0.5)
     out.append(CheckResult("identity", "zero-field fixed points", worst, 0.0))
     out.append(
         CheckResult(
@@ -293,7 +350,7 @@ def oracle_suite(seed: int = 0, samples: int = 100) -> list[CheckResult]:
     out.append(CheckResult("oracle", "hyperbolic dexpinv round trip", worst_dexp, 1e-13))
 
     # Closed-form inverse differentials against the 6-term Bernoulli series.
-    coeffs = dexpinv_coefficients(6)
+    six_terms = DexpinvSeries.with_terms(6)
     worst = 0.0
     base = sphere.random_point(rng, 5)
     for _ in range(samples):
@@ -303,7 +360,12 @@ def oracle_suite(seed: int = 0, samples: int = 100) -> list[CheckResult]:
             worst,
             float(
                 np.max(
-                    np.abs(sphere.dexpinv(theta, w) - sphere.dexpinv_series(theta, w, coeffs))
+                    np.abs(
+                        sphere.dexpinv(theta, w)
+                        - dexpinv_series_apply(
+                            six_terms, lambda x: sphere.triple(x, theta, theta), w
+                        )
+                    )
                 )
             ),
         )
@@ -317,7 +379,9 @@ def oracle_suite(seed: int = 0, samples: int = 100) -> list[CheckResult]:
                 np.max(
                     np.abs(
                         hyperbolic.dexpinv(theta, w)
-                        - hyperbolic.dexpinv_series(theta, w, coeffs)
+                        - dexpinv_series_apply(
+                            six_terms, lambda x: hyperbolic.triple(x, theta, theta), w
+                        )
                     )
                 )
             ),
@@ -334,17 +398,17 @@ def oracle_suite(seed: int = 0, samples: int = 100) -> list[CheckResult]:
         worst = max(worst, float(np.max(np.abs(direct - via_triple))))
     out.append(CheckResult("oracle", "spd double bracket forms", worst, 1e-13))
 
-    # Generic stepper against the specialized ones.
+    # The chart-based stepper against the ambient oracle step.
     tableau = builtin_tableau("rk4")
     inv_inertia = np.array([1.0, 0.5, 1.0 / 3.0])
     rb_field = lambda p: np.cross(p, inv_inertia * p)
     y = np.array([0.6, 0.0, 0.8])
     worst = 0.0
     for _ in range(50):
-        generic, _ = cssi_step(sphere.SPHERE, tableau, rb_field, y, 0.05)
-        special, _ = sphere.csi_step(tableau, rb_field, y, 0.05)
-        worst = max(worst, float(np.max(np.abs(generic - special))))
-        y = special
+        via_chart, _ = cssi_step(sphere.SPHERE, tableau, rb_field, y, 0.05)
+        via_ambient = ambient_step("sphere", tableau, rb_field, y, 0.05)
+        worst = max(worst, float(np.max(np.abs(via_chart - via_ambient))))
+        y = via_chart
     out.append(CheckResult("oracle", "generic vs specialized (sphere)", worst, 1e-13))
 
     gen = np.zeros((3, 3))
@@ -354,10 +418,10 @@ def oracle_suite(seed: int = 0, samples: int = 100) -> list[CheckResult]:
     z = hyperbolic.base_point(2)
     worst = 0.0
     for _ in range(50):
-        generic, _ = cssi_step(hyperbolic.HYPERBOLOID, tableau, lz_field, z, 0.05)
-        special, _ = hyperbolic.chi_step(tableau, lz_field, z, 0.05)
-        worst = max(worst, float(np.max(np.abs(generic - special))))
-        z = special
+        via_chart, _ = cssi_step(hyperbolic.HYPERBOLOID, tableau, lz_field, z, 0.05)
+        via_ambient = ambient_step("hyperbolic", tableau, lz_field, z, 0.05)
+        worst = max(worst, float(np.max(np.abs(via_chart - via_ambient))))
+        z = via_chart
     out.append(CheckResult("oracle", "generic vs specialized (hyperbolic)", worst, 1e-13))
 
     target = np.diag([1.0, 2.0, 3.0])
@@ -367,12 +431,10 @@ def oracle_suite(seed: int = 0, samples: int = 100) -> list[CheckResult]:
     yspd = random_spd(np.random.default_rng(seed + 1), 3)
     worst = 0.0
     for _ in range(10):
-        generic, _ = cssi_step(SPD, tableau, db_field, yspd, 0.01, dexpinv_terms=2)
-        special, _ = csgi_step(
-            tableau, db_field, yspd, 0.01, series=DexpinvSeries.with_terms(2)
-        )
-        worst = max(worst, float(np.max(np.abs(generic - special))))
-        yspd = special
+        via_chart, _ = cssi_step(SPD, tableau, db_field, yspd, 0.01, dexpinv_terms=2)
+        via_ambient = ambient_step("spd", tableau, db_field, yspd, 0.01, terms=2)
+        worst = max(worst, float(np.max(np.abs(via_chart - via_ambient))))
+        yspd = via_chart
     out.append(CheckResult("oracle", "rebased vs fixed-base (spd)", worst, 1e-10))
     return out
 

@@ -1,4 +1,4 @@
-"""Generic Runge-Kutta stepping along geodesics of a symmetric space.
+"""Runge-Kutta stepping along geodesics of a symmetric space.
 
 A step from y solves the stage equations
 
@@ -7,10 +7,12 @@ A step from y solves the stage equations
     Kt_i    = dExp^{-1}_{theta_i} K_i
     y_next  = Exp_y(sum_j b_j Kt_j)
 
-where Exp_y is the geodesic exponential at the current point (the base point
-is moved to y at every step), Gamma^{-1} is parallel transport back along the
-stage geodesic (realized through the geodesic midpoint), and dExp^{-1} is the
-inverse trivialized differential of Exp. The latter is the scalar series
+in a chart at the current point y (the base point moves to y every step).
+`space.chart(y)` computes the per-step base data once and supplies Exp_y,
+the pullback of a field value to chart coordinates at the base (Gamma^{-1}
+is parallel transport back along the stage geodesic, realized through the
+geodesic midpoint), and dExp^{-1}, the inverse trivialized differential of
+Exp. The latter is the scalar series
 
     sqrt(x)/sinh(sqrt(x)) = 1 - x/6 + 7x^2/360 - 31x^3/15120 + ...
 
@@ -19,8 +21,9 @@ the tangent-space Lie triple system. Geometries with a closed form
 (constant-curvature spaces) bypass the series.
 
 Explicit tableaus are solved stage by stage; implicit ones by fixed-point
-iteration on the stage tangents (tolerance 1e-14 on the max stage change,
-cap 50 iterations).
+iteration on the stage tangents, stopping once the max stage change is at
+most 1e-14 * max(1, |y|_inf) (cap 50 iterations). A non-finite stage or
+update tangent, or a non-finite point, raises NumericalFailure.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .errors import FixedPointDivergence, SymmflowError
+from .errors import FixedPointDivergence, NumericalFailure, StepTooLarge, SymmflowError
 from .tableau import ButcherTableau
 
 RENORM_THRESHOLD = 1e-12
@@ -42,43 +45,63 @@ _FP_TOL = 1e-14
 _FP_CAP = 50
 
 
-class SpaceContract(ABC):
-    """Operations a geometry supplies to the generic stepper.
+class Chart(ABC):
+    """One step's view of a geometry from its base point, built by `space.chart(y)`.
 
-    Points and tangents are plain ndarrays in the ambient representation
-    (unit vectors, hyperboloid vectors, or SPD matrices); every operation
-    takes the base point explicitly and treats its arguments as immutable.
+    Stage tangents are chart coordinates at the base: ambient tangent vectors
+    at y on the sphere and hyperboloid, symmetric matrices at the identity on
+    SPD. Every method treats its arguments as immutable.
     """
 
-    #: geometries with a closed-form inverse differential set this True
+    #: stages whose magnitude reaches this raise StepTooLarge
+    stage_limit: float = math.inf
+
+    @abstractmethod
+    def norm(self, theta) -> float:
+        """Stage magnitude phi used for records and guards."""
+
+    @abstractmethod
+    def exp(self, theta):
+        """The point Exp_y(theta)."""
+
+    @abstractmethod
+    def at_base(self, value):
+        """Chart coordinates of a field value at the base point itself."""
+
+    @abstractmethod
+    def pullback(self, theta, endpoint, value):
+        """Chart coordinates of a field value at endpoint = exp(theta)."""
+
+    @abstractmethod
+    def ad2(self, theta, w):
+        """Double bracket w -> [w, theta, theta] feeding the dExp^{-1} series."""
+
+    def dexpinv(self, theta, w):
+        """Closed-form dExp^{-1}_theta w, for spaces with `has_closed_dexpinv`."""
+        raise NotImplementedError
+
+    @abstractmethod
+    def field_value(self, point, value, diagnostics: bool):
+        """Check a field value at `point`; returns (value to use, defect).
+
+        Under `diagnostics` the value is projected onto the tangent space and
+        the defect is the size of what was discarded; otherwise it is 0.
+        """
+
+
+class SpaceContract(ABC):
+    """What a geometry supplies to the stepper.
+
+    Points are plain ndarrays in the ambient representation (unit vectors,
+    hyperboloid vectors, or SPD matrices).
+    """
+
+    #: geometries whose charts have a closed-form dExp^{-1} set this True
     has_closed_dexpinv: bool = False
 
     @abstractmethod
-    def exp_at(self, base, v):
-        """Geodesic exponential at `base` applied to tangent v."""
-
-    @abstractmethod
-    def exp_half_at(self, base, v, endpoint=None):
-        """Geodesic midpoint Exp_base(v/2); may reuse a precomputed endpoint."""
-
-    @abstractmethod
-    def transport_inv_at(self, base, theta, mid, w):
-        """Parallel transport of w from Exp_base(theta) back to base.
-
-        `mid` must be the precomputed geodesic midpoint Exp_base(theta/2).
-        """
-
-    @abstractmethod
-    def dexpinv_at(self, base, theta, w):
-        """Inverse trivialized differential of Exp applied to w."""
-
-    @abstractmethod
-    def triple(self, base, u, v, w):
-        """Lie-triple-system bracket [u, v, w] on the tangent space at base."""
-
-    @abstractmethod
-    def project_tangent(self, base, w):
-        """Orthogonal projection of an ambient vector onto the tangent space."""
+    def chart(self, y) -> Chart:
+        """The chart at y, holding whatever base data a step reuses."""
 
     @abstractmethod
     def invariant_residual(self, y) -> float:
@@ -87,14 +110,6 @@ class SpaceContract(ABC):
     @abstractmethod
     def renormalize(self, y):
         """Cheap projection of a slightly drifted point back to the manifold."""
-
-    def tangent_norm(self, base, v) -> float:
-        """Stage magnitude used for records and guards (geometry's phi)."""
-        return float(np.linalg.norm(np.asarray(v).ravel()))
-
-    def ad2(self, base, theta, w):
-        """Double bracket w -> [w, theta, theta] feeding the dExp^{-1} series."""
-        return self.triple(base, w, theta, theta)
 
 
 @lru_cache(maxsize=None)
@@ -170,6 +185,12 @@ def _resolve_series(space: SpaceContract, tableau: ButcherTableau, dexpinv_terms
     return DexpinvSeries.with_terms(int(dexpinv_terms))
 
 
+def _bad_stage(phi: float, limit: float) -> SymmflowError:
+    if not math.isfinite(phi):
+        return NumericalFailure(f"stage tangent is not finite (norm {phi})")
+    return StepTooLarge(f"stage norm {phi:.6f} >= {limit:.6f}; reduce the step size")
+
+
 def cssi_step(
     space: SpaceContract,
     tableau: ButcherTableau,
@@ -187,74 +208,66 @@ def cssi_step(
     match the tableau order; an integer forces that many series terms (0
     disables the correction entirely).
     """
-    a, b, r = tableau.a, tableau.b, tableau.stages
+    # Python floats: cheaper to test and scale by than numpy scalars.
+    a, b, r = tableau.a.tolist(), tableau.b.tolist(), tableau.stages
     series = _resolve_series(space, tableau, dexpinv_terms)
+    chart = space.chart(y)
     stage_norms = [0.0] * r
     defect = 0.0
 
     def eval_field(p):
         nonlocal defect
-        v = field(p)
-        if diagnostics:
-            vt = space.project_tangent(p, v)
-            defect = max(defect, float(np.max(np.abs(np.asarray(v - vt)))))
-            return vt
+        v, d = chart.field_value(p, field(p), diagnostics)
+        if d > defect:
+            defect = d
         return v
 
     def stage_value(i, theta):
-        phi = space.tangent_norm(y, theta)
+        phi = chart.norm(theta)
         stage_norms[i] = phi
+        if not phi < chart.stage_limit:  # also NaN and inf
+            raise _bad_stage(phi, chart.stage_limit)
         if phi == 0.0:
-            return h * eval_field(y)
-        endpoint = space.exp_at(y, theta)
-        mid = space.exp_half_at(y, theta, endpoint=endpoint)
-        k = space.transport_inv_at(y, theta, mid, h * eval_field(endpoint))
+            return chart.at_base(h * eval_field(y))
+        endpoint = chart.exp(theta)
+        k = chart.pullback(theta, endpoint, h * eval_field(endpoint))
         if series is None:
-            return space.dexpinv_at(y, theta, k)
-        if series.truncation_terms == 0:
-            return k
-        return dexpinv_series_apply(
-            series, lambda w: space.triple(y, w, theta, theta), k
-        )
+            return chart.dexpinv(theta, k)
+        return dexpinv_series_apply(series, lambda w: chart.ad2(theta, w), k)
+
+    def combine(row, ktil):
+        theta = np.zeros_like(y)
+        for coef, kt in zip(row, ktil):
+            if coef != 0.0:
+                theta = theta + coef * kt
+        return theta
 
     fp_iterations = 0
     if tableau.is_explicit:
         ktil = []
         for i in range(r):
-            theta = np.zeros_like(y)
-            for j in range(i):
-                if a[i, j] != 0.0:
-                    theta = theta + a[i, j] * ktil[j]
-            ktil.append(stage_value(i, theta))
+            ktil.append(stage_value(i, combine(a[i][:i], ktil)))
     else:
-        thetas = [np.zeros_like(y) for _ in range(r)]
+        tol = _FP_TOL * max(1.0, float(abs(y).max()))
+        thetas = [np.zeros_like(y)] * r
         ktil = [stage_value(i, thetas[i]) for i in range(r)]
-        converged = False
-        for it in range(1, _FP_CAP + 1):
-            fp_iterations = it
-            new_thetas = []
-            delta = 0.0
-            for i in range(r):
-                theta = np.zeros_like(y)
-                for j in range(r):
-                    if a[i, j] != 0.0:
-                        theta = theta + a[i, j] * ktil[j]
-                delta = max(delta, float(np.max(np.abs(theta - thetas[i]))))
-                new_thetas.append(theta)
+        for fp_iterations in range(1, _FP_CAP + 1):
+            new_thetas = [combine(a[i], ktil) for i in range(r)]
+            delta = max(float(abs(new - old).max()) for new, old in zip(new_thetas, thetas))
             thetas = new_thetas
             ktil = [stage_value(i, thetas[i]) for i in range(r)]
-            if delta <= _FP_TOL:
-                converged = True
+            if delta <= tol:
                 break
-        if not converged:
+        else:
             raise FixedPointDivergence(
                 f"implicit stages did not converge in {_FP_CAP} iterations"
             )
 
-    theta_out = np.zeros_like(y)
-    for j in range(r):
-        theta_out = theta_out + b[j] * ktil[j]
-    y_next = space.exp_at(y, theta_out)
+    theta_out = combine(b, ktil)
+    phi_out = chart.norm(theta_out)
+    if not math.isfinite(phi_out):
+        raise NumericalFailure(f"update tangent is not finite (norm {phi_out})")
+    y_next = chart.exp(theta_out)
 
     record = StepRecord(
         index=-1,
@@ -272,8 +285,9 @@ def march(step_fn, space: SpaceContract, y0, n_steps: int):
 
     Returns (trajectory, records) with n_steps + 1 points starting at y0.
     Points whose manifold residual exceeds 1e-12 are renormalized before
-    being stored (the pre-renormalization residual stays in the record).
-    Step errors are re-raised with `step_index` attached.
+    being stored (the pre-renormalization residual stays in the record); a
+    non-finite residual raises NumericalFailure. Step errors are re-raised
+    with `step_index` attached.
     """
     y = y0
     trajectory = [y0]
@@ -281,13 +295,17 @@ def march(step_fn, space: SpaceContract, y0, n_steps: int):
     for step in range(n_steps):
         try:
             y_next, record = step_fn(y)
+            if not record.residual <= RENORM_THRESHOLD:
+                if not math.isfinite(record.residual):
+                    raise NumericalFailure(
+                        f"step produced a non-finite point (residual {record.residual})"
+                    )
+                y_next = space.renormalize(y_next)
+                record.renormalized = True
         except SymmflowError as err:
             err.step_index = step
             raise
         record.index = step
-        if record.residual > RENORM_THRESHOLD:
-            y_next = space.renormalize(y_next)
-            record.renormalized = True
         trajectory.append(y_next)
         records.append(record)
         y = y_next

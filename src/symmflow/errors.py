@@ -1,7 +1,7 @@
 """Exception types raised across the package.
 
 Steppers raise rather than silently shrinking steps; retry policy belongs to
-the caller. `integrate` attaches the failing step index to the exception as
+the caller. `march` (and so `integrate`) attaches the failing step index to the exception as
 `step_index` before re-raising.
 """
 
@@ -17,7 +17,7 @@ class DimensionMismatch(SymmflowError):
 
 
 class NumericalFailure(SymmflowError):
-    """An iterative kernel failed to converge within its iteration cap."""
+    """A kernel failed to converge, or a step met a non-finite value."""
 
 
 class NonPositiveDefinite(SymmflowError):

@@ -19,18 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import integrate
 from .errors import IoFailure, ReferenceUnavailable
-from .hyperbolic import chi_integrate
-from .problems import Problem
-from .spd import csgi_integrate
-from .sphere import csi_integrate
+from .problems import _SPACES, Problem
 from .tableau import builtin_tableau
-
-_INTEGRATORS = {
-    "sphere": csi_integrate,
-    "hyperbolic": chi_integrate,
-    "spd": csgi_integrate,
-}
 
 _REFERENCE_REFINEMENT = 16
 
@@ -131,9 +123,9 @@ def run_problem(
     tableau = builtin_tableau(method)
     spec = problem.spec
     n_steps = _steps_for(spec.T, h, exact_division=False)
-    integrator = _INTEGRATORS[problem.space]
     started = time.perf_counter()
-    trajectory, records = integrator(
+    trajectory, records = integrate(
+        _SPACES[problem.space],
         tableau,
         problem.field,
         spec.y0,
@@ -184,8 +176,8 @@ def _reference_endpoint(problem: Problem, T: float, h_min: float):
     tableau = builtin_tableau("rk4")
     h_ref = h_min / _REFERENCE_REFINEMENT
     n_steps = _steps_for(T, h_ref, exact_division=True)
-    integrator = _INTEGRATORS[problem.space]
-    trajectory, _ = integrator(tableau, problem.field, problem.spec.y0, h_ref, n_steps)
+    space = _SPACES[problem.space]
+    trajectory, _ = integrate(space, tableau, problem.field, problem.spec.y0, h_ref, n_steps)
     return trajectory[-1]
 
 
@@ -210,11 +202,12 @@ def converge(
     reference = _reference_endpoint(problem, T, hs[-1])
 
     tableau = builtin_tableau(method)
-    integrator = _INTEGRATORS[problem.space]
+    space = _SPACES[problem.space]
     entries = []
     for h in hs:
         n_steps = _steps_for(T, h, exact_division=True)
-        trajectory, _ = integrator(
+        trajectory, _ = integrate(
+            space,
             tableau,
             problem.field,
             problem.spec.y0,

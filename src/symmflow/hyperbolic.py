@@ -20,16 +20,9 @@ import math
 
 import numpy as np
 
-from .core import (
-    SpaceContract,
-    StepRecord,
-    cssi_step,
-    dexpinv_coefficients,
-    march,
-)
-from .errors import NonSpacelikeTangent, StepTooLarge
+from .core import Chart, SpaceContract
+from .errors import NonSpacelikeTangent, NumericalFailure, StepTooLarge
 from .linalg import minkowski, minkowski_metric, spd_sqrt
-from .tableau import ButcherTableau
 
 PHI_SMALL = 1e-4
 MAX_STAGE_RAPIDITY = 30.0
@@ -102,15 +95,6 @@ def dexpinv(theta, w):
     return w + factor * (w + (minkowski(theta, w) / phi2) * theta)
 
 
-def dexpinv_series(theta, w, coefficients):
-    out = w
-    power = w
-    for cn in coefficients:
-        power = triple(power, theta, theta)
-        out = out + cn * power
-    return out
-
-
 def triple(u, v, w):
     """Triple bracket [u, v, w] = <u, w> v - <v, w> u (Minkowski products)."""
     return minkowski(u, w) * v - minkowski(v, w) * u
@@ -170,126 +154,56 @@ def random_tangent(rng, base, scale: float = 1.0):
     return (scale / phi) * w
 
 
+class HyperboloidChart(Chart):
+    """Chart at a hyperboloid point: stage tangents are ambient vectors there.
+
+    The rapidity cap is enforced by `exp_point` and `exp_half` themselves.
+    """
+
+    def __init__(self, base):
+        self.base = base
+
+    def norm(self, theta) -> float:
+        return math.sqrt(max(-minkowski(theta, theta), 0.0))
+
+    def exp(self, theta):
+        return exp_point(self.base, theta)
+
+    def at_base(self, value):
+        return value
+
+    def pullback(self, theta, endpoint, value):
+        return transport_inv(exp_half(self.base, theta), value)
+
+    def dexpinv(self, theta, w):
+        return dexpinv(theta, w)
+
+    def ad2(self, theta, w):
+        return triple(w, theta, theta)
+
+    def field_value(self, point, value, diagnostics: bool):
+        if not diagnostics:
+            return value, 0.0
+        tangent = value - minkowski(value, point) * point
+        return tangent, float(np.max(np.abs(value - tangent)))
+
+
 class HyperbolicSpace(SpaceContract):
-    """Contract wiring of the hyperboloid operations for the generic stepper."""
+    """The hyperboloid for the stepper: a chart at every step's base point."""
 
     has_closed_dexpinv = True
 
-    def exp_at(self, base, v):
-        return exp_point(base, v)
-
-    def exp_half_at(self, base, v, endpoint=None):
-        return exp_half(base, v)
-
-    def transport_inv_at(self, base, theta, mid, w):
-        return transport_inv(mid, w)
-
-    def dexpinv_at(self, base, theta, w):
-        return dexpinv(theta, w)
-
-    def triple(self, base, u, v, w):
-        return triple(u, v, w)
-
-    def project_tangent(self, base, w):
-        return w - minkowski(w, base) * base
+    def chart(self, y) -> HyperboloidChart:
+        return HyperboloidChart(y)
 
     def invariant_residual(self, y) -> float:
         return abs(minkowski(y, y) - 1.0)
 
     def renormalize(self, y):
-        return y / math.sqrt(minkowski(y, y))
-
-    def tangent_norm(self, base, v) -> float:
-        return math.sqrt(max(-minkowski(v, v), 0.0))
+        m = minkowski(y, y)
+        if not 0.0 < m < math.inf:
+            raise NumericalFailure(f"cannot renormalize a point with <y, y> = {m:.3e}")
+        return y / math.sqrt(m)
 
 
 HYPERBOLOID = HyperbolicSpace()
-
-
-def chi_step(
-    tableau: ButcherTableau,
-    field,
-    y,
-    h: float,
-    *,
-    dexpinv_terms=None,
-    diagnostics: bool = False,
-):
-    """Hand-specialized hyperboloid step for explicit tableaus.
-
-    Mirrors `sphere.csi_step` with the Minkowski operations; implicit
-    tableaus fall back to the generic machinery.
-    """
-    if not tableau.is_explicit:
-        return cssi_step(
-            HYPERBOLOID, tableau, field, y, h,
-            dexpinv_terms=dexpinv_terms, diagnostics=diagnostics,
-        )
-    coeffs = None if dexpinv_terms is None else dexpinv_coefficients(int(dexpinv_terms))
-    a, b, r = tableau.a, tableau.b, tableau.stages
-    ktil = []
-    stage_norms = []
-    defect = 0.0
-
-    def eval_field(p):
-        nonlocal defect
-        v = field(p)
-        if diagnostics:
-            vt = v - minkowski(v, p) * p
-            defect = max(defect, float(np.max(np.abs(v - vt))))
-            return vt
-        return v
-
-    for i in range(r):
-        theta = np.zeros_like(y)
-        for j in range(i):
-            if a[i, j] != 0.0:
-                theta = theta + a[i, j] * ktil[j]
-        phi = math.sqrt(max(-minkowski(theta, theta), 0.0))
-        stage_norms.append(phi)
-        if phi == 0.0:
-            ktil.append(h * eval_field(y))
-            continue
-        endpoint = exp_point(y, theta)
-        mid = exp_half(y, theta)
-        k = transport_inv(mid, h * eval_field(endpoint))
-        if coeffs is None:
-            ktil.append(dexpinv(theta, k))
-        elif not coeffs:
-            ktil.append(k)
-        else:
-            ktil.append(dexpinv_series(theta, k, coeffs))
-
-    theta = np.zeros_like(y)
-    for j in range(r):
-        theta = theta + b[j] * ktil[j]
-    y_next = exp_point(y, theta)
-    record = StepRecord(
-        index=-1,
-        h=h,
-        stage_norms=tuple(stage_norms),
-        residual=abs(minkowski(y_next, y_next) - 1.0),
-        tangency_defect=defect,
-    )
-    return y_next, record
-
-
-def chi_integrate(
-    tableau: ButcherTableau,
-    field,
-    y0,
-    h: float,
-    n_steps: int,
-    *,
-    dexpinv_terms=None,
-    diagnostics: bool = False,
-):
-    """March the specialized hyperboloid step; renormalization as in core."""
-
-    def step(y):
-        return chi_step(
-            tableau, field, y, h,
-            dexpinv_terms=dexpinv_terms, diagnostics=diagnostics,
-        )
-
-    return march(step, HYPERBOLOID, y0, n_steps)

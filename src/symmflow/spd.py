@@ -2,10 +2,9 @@
 
 The natural base point is the identity, where tangents are plain symmetric
 matrices, the geodesic exponential is the matrix exponential, and the triple
-bracket is a quarter of the nested commutator. Unlike the sphere and
-hyperboloid steppers, which move the base point to the current state each
-step, the SPD stepper keeps the base at I and pulls the equation back through
-the displacement y -> s y s with s = sqrt(y_l):
+bracket is a quarter of the nested commutator. The SPD chart therefore keeps
+its coordinates at I and pulls the equation back through the displacement
+y -> s y s with s = sqrt(y_l), computed once per step:
 
     K_i  = h exp(-theta_i/2) s^{-1} F(s exp(theta_i) s) s^{-1} exp(-theta_i/2)
     Kt_i = K_i + c_1 x K_i + c_2 x^2 K_i + ...,   x = (1/4)[[., theta_i], theta_i]
@@ -19,19 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DexpinvSeries, SpaceContract, StepRecord
-from .errors import (
-    DimensionMismatch,
-    FixedPointDivergence,
-    NonPositiveDefinite,
-    SymmetryViolation,
-    SymmflowError,
-)
-from .linalg import mat_exp, spd_inv, spd_sqrt, sym_eig, symmetrize
-from .tableau import ButcherTableau
-
-_FP_TOL = 1e-14
-_FP_CAP = 50
+from .core import Chart, SpaceContract
+from .errors import DimensionMismatch, NonPositiveDefinite, SymmetryViolation
+from .linalg import mat_exp, sym_eig, symmetrize
 
 
 def quadratic(s, y) -> np.ndarray:
@@ -64,15 +53,6 @@ def sqrt_pair(y):
     return symmetrize((v * root) @ v.T), symmetrize((v / root) @ v.T)
 
 
-def spd_sqrt_update(y_next) -> np.ndarray:
-    """The unique SPD square root of the new point.
-
-    Among all square roots this is the positive factor of the polar
-    decomposition, which is the branch the fixed-base stepper needs.
-    """
-    return spd_sqrt(y_next)
-
-
 def random_spd(rng, n: int) -> np.ndarray:
     g = rng.standard_normal((n, n))
     return symmetrize(g @ g.T / n + np.eye(n))
@@ -91,222 +71,50 @@ def _check_symmetric_field(value) -> float:
     return skew
 
 
-def csgi_step(
-    tableau: ButcherTableau,
-    field,
-    y,
-    h: float,
-    *,
-    series: DexpinvSeries | None = None,
-    diagnostics: bool = False,
-    sqrt_pair_hint=None,
-):
-    """One fixed-base step on SPD matrices; returns (y_next, StepRecord).
+class SpdChart(Chart):
+    """Chart at an SPD matrix y with coordinates at the identity.
 
-    `series` defaults to the truncation matching the tableau order.
-    `sqrt_pair_hint` lets a driver supply (sqrt(y), sqrt(y)^{-1}) it already
-    holds, e.g. from the polar-part update across steps.
+    Points and field values move between y and I through s = sqrt(y), taken
+    once when the chart is built; a non-SPD y raises NonPositiveDefinite.
     """
-    y_next, record, _ = _csgi_step_impl(
-        tableau, field, y, h,
-        series=series, diagnostics=diagnostics, sqrt_pair_hint=sqrt_pair_hint,
-    )
-    return y_next, record
 
+    def __init__(self, y):
+        self.s, self.s_inv = sqrt_pair(y)
 
-def _csgi_step_impl(tableau, field, y, h, *, series, diagnostics, sqrt_pair_hint):
-    if series is None:
-        series = DexpinvSeries.for_order(tableau.declared_order)
-    s, s_inv = sqrt_pair_hint if sqrt_pair_hint is not None else sqrt_pair(y)
-    a, b, r = tableau.a, tableau.b, tableau.stages
-    stage_norms = [0.0] * r
-    defect = 0.0
+    def norm(self, theta) -> float:
+        return float(np.linalg.norm(theta))
 
-    def eval_field(point):
-        nonlocal defect
-        value = field(point)
+    def exp(self, theta):
+        return symmetrize(self.s @ mat_exp(theta) @ self.s)
+
+    def at_base(self, value):
+        return symmetrize(self.s_inv @ value @ self.s_inv)
+
+    def pullback(self, theta, endpoint, value):
+        half = mat_exp(-0.5 * theta)
+        return symmetrize(half @ (self.s_inv @ value @ self.s_inv) @ half)
+
+    def ad2(self, theta, w):
+        return ad2(theta, w)
+
+    def field_value(self, point, value, diagnostics: bool):
         skew = _check_symmetric_field(value)
         if diagnostics:
-            defect = max(defect, skew)
-            value = symmetrize(value)
-        return value
-
-    def stage_value(i, theta):
-        norm = float(np.linalg.norm(theta))
-        stage_norms[i] = norm
-        if norm == 0.0:
-            k = symmetrize(h * (s_inv @ eval_field(y) @ s_inv))
-        else:
-            exp_theta = mat_exp(theta)
-            exp_mhalf = mat_exp(-0.5 * theta)
-            inner_point = symmetrize(s @ exp_theta @ s)
-            value = eval_field(inner_point)
-            k = symmetrize(h * (exp_mhalf @ (s_inv @ value @ s_inv) @ exp_mhalf))
-        kt = k
-        power = k
-        for cn in series.coefficients:
-            power = ad2(theta, power)
-            kt = kt + cn * power
-        return kt
-
-    fp_iterations = 0
-    if tableau.is_explicit:
-        ktil = []
-        for i in range(r):
-            theta = np.zeros_like(y)
-            for j in range(i):
-                if a[i, j] != 0.0:
-                    theta = theta + a[i, j] * ktil[j]
-            ktil.append(stage_value(i, theta))
-    else:
-        thetas = [np.zeros_like(y) for _ in range(r)]
-        ktil = [stage_value(i, thetas[i]) for i in range(r)]
-        converged = False
-        for it in range(1, _FP_CAP + 1):
-            fp_iterations = it
-            new_thetas = []
-            delta = 0.0
-            for i in range(r):
-                theta = np.zeros_like(y)
-                for j in range(r):
-                    if a[i, j] != 0.0:
-                        theta = theta + a[i, j] * ktil[j]
-                delta = max(delta, float(np.max(np.abs(theta - thetas[i]))))
-                new_thetas.append(theta)
-            thetas = new_thetas
-            ktil = [stage_value(i, thetas[i]) for i in range(r)]
-            if delta <= _FP_TOL:
-                converged = True
-                break
-        if not converged:
-            raise FixedPointDivergence(
-                f"implicit stages did not converge in {_FP_CAP} iterations"
-            )
-
-    theta_out = np.zeros_like(y)
-    for j in range(r):
-        theta_out = theta_out + b[j] * ktil[j]
-    y_next = symmetrize(s @ mat_exp(theta_out) @ s)
-
-    record = StepRecord(
-        index=-1,
-        h=h,
-        stage_norms=tuple(stage_norms),
-        residual=float(np.max(np.abs(y_next - y_next.T))),
-        fixed_point_iterations=fp_iterations,
-        tangency_defect=defect,
-    )
-    return y_next, record, (s, theta_out)
-
-
-def csgi_integrate(
-    tableau: ButcherTableau,
-    field,
-    y0,
-    h: float,
-    n_steps: int,
-    *,
-    dexpinv_terms=None,
-    diagnostics: bool = False,
-    sqrt_mode: str = "recompute",
-):
-    """March the fixed-base SPD stepper.
-
-    sqrt_mode "recompute" (default) takes sqrt(y_l) fresh each step;
-    "polar" carries it forward as the positive polar factor of
-    A = exp(theta/2) sqrt(y_l), i.e. the SPD root of A^T A. Under
-    `diagnostics` the polar path asserts agreement with the recomputed
-    root to 1e-10.
-    """
-    if sqrt_mode not in ("recompute", "polar"):
-        raise ValueError(f"unknown sqrt_mode '{sqrt_mode}'")
-    series = (
-        None
-        if dexpinv_terms is None
-        else DexpinvSeries.with_terms(int(dexpinv_terms))
-    )
-    y = y0
-    trajectory = [y0]
-    records: list[StepRecord] = []
-    carried = None
-    for step in range(n_steps):
-        try:
-            y_next, record, (s, theta_out) = _csgi_step_impl(
-                tableau, field, y, h,
-                series=series, diagnostics=diagnostics, sqrt_pair_hint=carried,
-            )
-        except SymmflowError as err:
-            err.step_index = step
-            raise
-        record.index = step
-        if sqrt_mode == "polar":
-            half = mat_exp(0.5 * theta_out) @ s
-            s_next = spd_sqrt(symmetrize(half.T @ half))
-            if diagnostics:
-                drift = float(np.max(np.abs(s_next - spd_sqrt(y_next))))
-                if drift > 1e-10:
-                    raise SymmflowError(
-                        f"polar square-root update drifted by {drift:.3e}"
-                    )
-            carried = (s_next, spd_inv(s_next))
-        trajectory.append(y_next)
-        records.append(record)
-        y = y_next
-    return trajectory, records
+            return symmetrize(value), skew
+        return value, 0.0
 
 
 class SpdSpace(SpaceContract):
-    """Rebased contract over SPD matrices for the generic stepper.
+    """SPD matrices for the stepper: the fixed-base scheme as a chart."""
 
-    Tangents at y are ambient symmetric matrices; every operation pulls back
-    to the identity through sqrt(y), so a step of the generic machinery with
-    this contract is mathematically the same map as `csgi_step`. Each call
-    recomputes the square root it needs, so this path suits cross-checks and
-    small studies rather than long production runs.
-    """
-
-    def exp_at(self, base, v):
-        s, s_inv = sqrt_pair(base)
-        theta = symmetrize(s_inv @ v @ s_inv)
-        return symmetrize(s @ mat_exp(theta) @ s)
-
-    def exp_half_at(self, base, v, endpoint=None):
-        s, s_inv = sqrt_pair(base)
-        theta = symmetrize(s_inv @ v @ s_inv)
-        return symmetrize(s @ mat_exp(0.5 * theta) @ s)
-
-    def transport_inv_at(self, base, theta, mid, w):
-        mid_inv = spd_inv(mid)
-        return symmetrize(base @ mid_inv @ w @ mid_inv @ base)
-
-    def dexpinv_at(self, base, theta, w, terms: int = 3):
-        out = w
-        power = w
-        for cn in DexpinvSeries.with_terms(terms).coefficients:
-            power = self.triple(base, power, theta, theta)
-            out = out + cn * power
-        return out
-
-    def triple(self, base, u, v, w):
-        s, s_inv = sqrt_pair(base)
-        bracket = triple(
-            symmetrize(s_inv @ u @ s_inv),
-            symmetrize(s_inv @ v @ s_inv),
-            symmetrize(s_inv @ w @ s_inv),
-        )
-        return symmetrize(s @ bracket @ s)
-
-    def project_tangent(self, base, w):
-        return symmetrize(w)
+    def chart(self, y) -> SpdChart:
+        return SpdChart(y)
 
     def invariant_residual(self, y) -> float:
         return float(np.max(np.abs(y - y.T)))
 
     def renormalize(self, y):
         return symmetrize(y)
-
-    def tangent_norm(self, base, v) -> float:
-        return float(np.linalg.norm(v))
 
 
 SPD = SpdSpace()

@@ -18,15 +18,8 @@ import math
 
 import numpy as np
 
-from .core import (
-    SpaceContract,
-    StepRecord,
-    cssi_step,
-    dexpinv_coefficients,
-    march,
-)
-from .errors import MidpointUndefined, StepTooLarge
-from .tableau import ButcherTableau
+from .core import Chart, SpaceContract
+from .errors import MidpointUndefined, NumericalFailure, StepTooLarge
 
 PHI_SMALL = 1e-4
 MAX_STAGE_ANGLE = math.pi - 1e-6
@@ -83,16 +76,6 @@ def dexpinv(theta, w):
     return w + factor * (w - (float(theta @ w) / phi2) * theta)
 
 
-def dexpinv_series(theta, w, coefficients):
-    """Series form of `dexpinv`: w + sum c_n ad2^n(w), ad2 = [., theta, theta]."""
-    out = w
-    power = w
-    for cn in coefficients:
-        power = triple(power, theta, theta)
-        out = out + cn * power
-    return out
-
-
 def triple(u, v, w):
     """Triple bracket [u, v, w] = (w.u) v - (v.w) u on a common tangent space."""
     return float(w @ u) * v - float(v @ w) * u
@@ -120,131 +103,55 @@ def random_tangent(rng, base, scale: float = 1.0):
     return scale * v / np.linalg.norm(v)
 
 
+class SphereChart(Chart):
+    """Chart at a unit vector: stage tangents are ambient vectors at the base."""
+
+    stage_limit = MAX_STAGE_ANGLE
+
+    def __init__(self, base):
+        self.base = base
+
+    def norm(self, theta) -> float:
+        return math.sqrt(float(theta @ theta))
+
+    def exp(self, theta):
+        return exp_point(self.base, theta)
+
+    def at_base(self, value):
+        return value
+
+    def pullback(self, theta, endpoint, value):
+        return transport_inv(midpoint(self.base, endpoint), value)
+
+    def dexpinv(self, theta, w):
+        return dexpinv(theta, w)
+
+    def ad2(self, theta, w):
+        return triple(w, theta, theta)
+
+    def field_value(self, point, value, diagnostics: bool):
+        if not diagnostics:
+            return value, 0.0
+        tangent = value - float(point @ value) * point
+        return tangent, float(np.max(np.abs(value - tangent)))
+
+
 class SphereSpace(SpaceContract):
-    """Contract wiring of the sphere operations for the generic stepper."""
+    """The unit sphere for the stepper: a chart at every step's base point."""
 
     has_closed_dexpinv = True
 
-    def exp_at(self, base, v):
-        return exp_point(base, v)
-
-    def exp_half_at(self, base, v, endpoint=None):
-        if endpoint is None:
-            endpoint = exp_point(base, v)
-        return midpoint(base, endpoint)
-
-    def transport_inv_at(self, base, theta, mid, w):
-        return transport_inv(mid, w)
-
-    def dexpinv_at(self, base, theta, w):
-        return dexpinv(theta, w)
-
-    def triple(self, base, u, v, w):
-        return triple(u, v, w)
-
-    def project_tangent(self, base, w):
-        return w - float(base @ w) * base
+    def chart(self, y) -> SphereChart:
+        return SphereChart(y)
 
     def invariant_residual(self, y) -> float:
         return abs(float(y @ y) - 1.0)
 
     def renormalize(self, y):
-        return y / math.sqrt(float(y @ y))
-
-    def tangent_norm(self, base, v) -> float:
-        return math.sqrt(float(v @ v))
+        norm2 = float(y @ y)
+        if not 0.0 < norm2 < math.inf:
+            raise NumericalFailure(f"cannot renormalize a point of squared norm {norm2}")
+        return y / math.sqrt(norm2)
 
 
 SPHERE = SphereSpace()
-
-
-def csi_step(
-    tableau: ButcherTableau,
-    field,
-    y,
-    h: float,
-    *,
-    dexpinv_terms=None,
-    diagnostics: bool = False,
-):
-    """Hand-specialized spherical step for explicit tableaus.
-
-    Implicit tableaus fall back to the generic machinery with the sphere
-    contract. `dexpinv_terms=None` uses the closed-form correction; an
-    integer uses that many series terms instead (0 disables it).
-    """
-    if not tableau.is_explicit:
-        return cssi_step(
-            SPHERE, tableau, field, y, h,
-            dexpinv_terms=dexpinv_terms, diagnostics=diagnostics,
-        )
-    coeffs = None if dexpinv_terms is None else dexpinv_coefficients(int(dexpinv_terms))
-    a, b, r = tableau.a, tableau.b, tableau.stages
-    ktil = []
-    stage_norms = []
-    defect = 0.0
-
-    def eval_field(p):
-        nonlocal defect
-        v = field(p)
-        if diagnostics:
-            vt = v - float(p @ v) * p
-            defect = max(defect, float(np.max(np.abs(v - vt))))
-            return vt
-        return v
-
-    for i in range(r):
-        theta = np.zeros_like(y)
-        for j in range(i):
-            if a[i, j] != 0.0:
-                theta = theta + a[i, j] * ktil[j]
-        phi = math.sqrt(float(theta @ theta))
-        stage_norms.append(phi)
-        if phi == 0.0:
-            ktil.append(h * eval_field(y))
-            continue
-        if phi >= MAX_STAGE_ANGLE:
-            raise StepTooLarge(f"stage angle {phi:.6f} >= pi; reduce the step size")
-        endpoint = exp_point(y, theta)
-        mid = midpoint(y, endpoint)
-        k = transport_inv(mid, h * eval_field(endpoint))
-        if coeffs is None:
-            ktil.append(dexpinv(theta, k))
-        elif not coeffs:
-            ktil.append(k)
-        else:
-            ktil.append(dexpinv_series(theta, k, coeffs))
-
-    theta = np.zeros_like(y)
-    for j in range(r):
-        theta = theta + b[j] * ktil[j]
-    y_next = exp_point(y, theta)
-    record = StepRecord(
-        index=-1,
-        h=h,
-        stage_norms=tuple(stage_norms),
-        residual=abs(float(y_next @ y_next) - 1.0),
-        tangency_defect=defect,
-    )
-    return y_next, record
-
-
-def csi_integrate(
-    tableau: ButcherTableau,
-    field,
-    y0,
-    h: float,
-    n_steps: int,
-    *,
-    dexpinv_terms=None,
-    diagnostics: bool = False,
-):
-    """March the specialized spherical step; renormalization as in core."""
-
-    def step(y):
-        return csi_step(
-            tableau, field, y, h,
-            dexpinv_terms=dexpinv_terms, diagnostics=diagnostics,
-        )
-
-    return march(step, SPHERE, y0, n_steps)

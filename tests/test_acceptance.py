@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from symmflow import sphere
-from symmflow.checks import lts_suite, oracle_suite
+from symmflow.checks import ambient_step, lts_suite, oracle_suite
 from symmflow.core import cssi_step
 from symmflow.errors import StepTooLarge
 from symmflow.harness import converge, run_problem
@@ -132,12 +132,12 @@ def test_criterion_8_generic_specialized_agreement():
     y = np.array([0.6, 0.0, 0.8])
     worst = 0.0
     for _ in range(100):
-        via_generic, _ = cssi_step(sphere.SPHERE, tableau, field, y, 0.05)
-        via_special, _ = sphere.csi_step(tableau, field, y, 0.05)
-        worst = max(worst, float(np.max(np.abs(via_generic - via_special))))
-        y = via_special
+        via_chart, _ = cssi_step(sphere.SPHERE, tableau, field, y, 0.05)
+        via_ambient = ambient_step("sphere", tableau, field, y, 0.05)
+        worst = max(worst, float(np.max(np.abs(via_chart - via_ambient))))
+        y = via_chart
     assert worst <= 1e-13
-    _report(8, f"generic and specialized paths agree to {worst:.1e} per step")
+    _report(8, f"chart and ambient matrix-exponential steps agree to {worst:.1e} per step")
 
 
 def test_criterion_9_step_guard():
@@ -147,5 +147,5 @@ def test_criterion_9_step_guard():
     y0 = np.array([0.6, 0.0, 0.8])
     for _ in range(3):
         with pytest.raises(StepTooLarge):
-            sphere.csi_step(tableau, field, y0, 100.0)
+            cssi_step(sphere.SPHERE, tableau, field, y0, 100.0)
     _report(9, "oversized stages raise StepTooLarge deterministically")

@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 from symmflow import hyperbolic, spd, sphere
+from symmflow.checks import ambient_step
 from symmflow.core import (
     DexpinvSeries,
+    StepRecord,
     cssi_step,
     dexpinv_coefficients,
     dexpinv_series_apply,
     integrate,
     lts_axiom_residuals,
+    march,
     triple_bracket_oracle,
 )
-from symmflow.errors import FixedPointDivergence, StepTooLarge
+from symmflow.errors import FixedPointDivergence, NumericalFailure, StepTooLarge
+from symmflow.problems import build_problem
 from symmflow.tableau import builtin_tableau
 
 
@@ -95,7 +99,7 @@ class TestGenericStep:
         y = np.eye(3)
         out, _ = cssi_step(spd.SPD, t, lambda p: np.eye(3), y, 0.3)
         assert np.max(np.abs(out - math.exp(0.3) * np.eye(3))) < 1e-13
-        out2, _ = spd.csgi_step(t, lambda p: np.eye(3), y, 0.3)
+        out2 = ambient_step("spd", t, lambda p: np.eye(3), y, 0.3)
         assert np.max(np.abs(out2 - math.exp(0.3) * np.eye(3))) < 1e-13
 
     def test_integrate_zero_steps(self):
@@ -162,6 +166,76 @@ class TestImplicit:
         y0 = np.array([0.6, 0.0, 0.8])
         with pytest.raises(FixedPointDivergence):
             cssi_step(sphere.SPHERE, t, self.field, y0, 1.5)
+
+    def test_large_states_converge_under_relative_stop(self):
+        # The state grows to |y|_inf ~ 23 by step 1457, where an absolute
+        # 1e-14 stopping test can no longer be met in round-off.
+        problem = build_problem("hyperbolic", "lorentz_linear", dim=16, seed=42, T=20.0)
+        t = builtin_tableau("implicit_midpoint")
+        trajectory, records = integrate(
+            hyperbolic.HYPERBOLOID, t, problem.field, problem.spec.y0, 0.01, 2000
+        )
+        assert len(records) == 2000
+        assert max(r.fixed_point_iterations for r in records) < 50
+        exact = problem.exact(20.0)
+        relative = np.linalg.norm(trajectory[-1] - exact) / np.linalg.norm(exact)
+        assert relative <= 1e-5
+
+
+def _nan_after(calls, field, fill=np.nan):
+    """`field` for the first `calls` evaluations (two steps below), then `fill`."""
+    count = [0]
+
+    def wrapped(p):
+        count[0] += 1
+        value = field(p)
+        return value if count[0] <= calls else np.full_like(value, fill)
+
+    return wrapped
+
+
+def _returning(point, space):
+    """A step map that always lands on `point`."""
+
+    def step(y):
+        return point, StepRecord(-1, 0.1, (), space.invariant_residual(point))
+
+    return step
+
+
+_ROT = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+_BOOST = np.array([[0.0, 0.0, 0.3], [0.0, 0.0, 0.0], [0.3, 0.0, 0.0]])
+_DIAG = np.diag([1.0, 2.0, 3.0])
+NON_FINITE_CASES = {
+    "sphere-field": lambda: integrate(
+        sphere.SPHERE, builtin_tableau("rk4"), _nan_after(8, lambda p: _ROT @ p),
+        np.array([0.6, 0.0, 0.8]), 0.1, 5,
+    ),
+    "hyperboloid-field": lambda: integrate(
+        hyperbolic.HYPERBOLOID, builtin_tableau("implicit_midpoint"),
+        _nan_after(24, lambda p: (_ROT + _BOOST) @ p), hyperbolic.base_point(2), 0.1, 5,
+    ),
+    "spd-field": lambda: integrate(
+        spd.SPD, builtin_tableau("rk4"),
+        _nan_after(8, lambda p: p @ _DIAG @ p, fill=np.inf),
+        np.diag([1.0, 1.5, 2.0]) + 0.1, 0.01, 5,
+    ),
+    "sphere-renormalize-zero": lambda: march(
+        _returning(np.zeros(3), sphere.SPHERE), sphere.SPHERE, np.array([0.0, 0.0, 1.0]), 3
+    ),
+    "hyperboloid-renormalize-timelike": lambda: march(
+        _returning(np.array([1.0, 0.0, 0.5]), hyperbolic.HYPERBOLOID),
+        hyperbolic.HYPERBOLOID, hyperbolic.base_point(2), 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+def test_non_finite_or_unnormalizable_raises_numerical_failure(case):
+    with pytest.raises(NumericalFailure) as excinfo, np.errstate(invalid="ignore"):
+        NON_FINITE_CASES[case]()
+    expected_step = 0 if "renormalize" in case else 2
+    assert excinfo.value.step_index == expected_step
 
 
 class TestLtsAxioms:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from symmflow import hyperbolic
-from symmflow.checks import dexp_forward_hyperbolic
-from symmflow.core import cssi_step, triple_bracket_oracle
+from symmflow.checks import ambient_step, dexp_forward_hyperbolic
+from symmflow.core import cssi_step, integrate, triple_bracket_oracle
 from symmflow.errors import NonSpacelikeTangent, StepTooLarge
 from symmflow.linalg import mat_exp, minkowski, minkowski_metric
 from symmflow.tableau import builtin_tableau
@@ -221,10 +221,12 @@ class TestTriple:
 
 
 class TestChiStepper:
+    """The chart-based stepper on the hyperboloid."""
+
     def test_zero_field_constant_trajectory(self):
         t = builtin_tableau("rk4")
-        trajectory, _ = hyperbolic.chi_integrate(
-            t, lambda p: np.zeros_like(p), O2, 0.1, 10
+        trajectory, _ = integrate(
+            hyperbolic.HYPERBOLOID, t, lambda p: np.zeros_like(p), O2, 0.1, 10
         )
         assert all(point is O2 for point in trajectory)
 
@@ -234,7 +236,9 @@ class TestChiStepper:
         t = builtin_tableau("rk4")
         errors = []
         for h in (0.1, 0.05):
-            trajectory, _ = hyperbolic.chi_integrate(t, field, O2, h, round(1.0 / h))
+            trajectory, _ = integrate(
+                hyperbolic.HYPERBOLOID, t, field, O2, h, round(1.0 / h)
+            )
             errors.append(np.linalg.norm(trajectory[-1] - mat_exp(gen) @ O2))
         assert 13.0 <= errors[0] / errors[1] <= 19.0
 
@@ -242,23 +246,24 @@ class TestChiStepper:
         gen = elliptic_generator()
         field = lambda p: gen @ p
         t = builtin_tableau("rk4")
-        _, records = hyperbolic.chi_integrate(t, field, O2, 0.01, 1000)
+        _, records = integrate(hyperbolic.HYPERBOLOID, t, field, O2, 0.01, 1000)
         assert max(r.residual for r in records) <= 1e-10
 
     def test_agrees_with_generic_machinery(self):
+        # Against the ambient matrix-exponential step, an independent route.
         gen = elliptic_generator()
         field = lambda p: gen @ p
         t = builtin_tableau("rk4")
         y = O2
         for _ in range(25):
-            via_generic, _ = cssi_step(hyperbolic.HYPERBOLOID, t, field, y, 0.05)
-            via_special, _ = hyperbolic.chi_step(t, field, y, 0.05)
-            assert np.max(np.abs(via_generic - via_special)) <= 1e-13
-            y = via_special
+            via_chart, _ = cssi_step(hyperbolic.HYPERBOLOID, t, field, y, 0.05)
+            via_ambient = ambient_step("hyperbolic", t, field, y, 0.05)
+            assert np.max(np.abs(via_chart - via_ambient)) <= 1e-13
+            y = via_chart
 
     def test_upper_sheet_time_coordinate(self):
         gen = elliptic_generator(boost=0.5)
         field = lambda p: gen @ p
         t = builtin_tableau("rk4")
-        trajectory, _ = hyperbolic.chi_integrate(t, field, O2, 0.05, 200)
+        trajectory, _ = integrate(hyperbolic.HYPERBOLOID, t, field, O2, 0.05, 200)
         assert all(point[-1] >= 1.0 - 1e-12 for point in trajectory)

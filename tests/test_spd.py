@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from symmflow import spd
-from symmflow.core import DexpinvSeries, cssi_step, lts_axiom_residuals
+from symmflow.checks import ambient_step
+from symmflow.core import (
+    DexpinvSeries,
+    cssi_step,
+    dexpinv_series_apply,
+    integrate,
+    lts_axiom_residuals,
+)
 from symmflow.errors import (
     DimensionMismatch,
     NonPositiveDefinite,
@@ -85,36 +92,41 @@ class TestTripleAndAd2:
 
 
 class TestSqrtUpdate:
+    """The square root a chart takes of its base point (`sqrt_pair`)."""
+
     def test_identity(self):
-        assert np.max(np.abs(spd.spd_sqrt_update(np.eye(3)) - np.eye(3))) < 1e-14
+        assert np.max(np.abs(spd.sqrt_pair(np.eye(3))[0] - np.eye(3))) < 1e-14
 
     def test_known_rotation_case(self):
         c, s = math.cos(0.6), math.sin(0.6)
         q = np.array([[c, -s], [s, c]])
         y = q @ np.diag([4.0, 1.0]) @ q.T
         expected = q @ np.diag([2.0, 1.0]) @ q.T
-        assert np.max(np.abs(spd.spd_sqrt_update(y) - expected)) <= 1e-12
+        assert np.max(np.abs(spd.sqrt_pair(y)[0] - expected)) <= 1e-12
 
     def test_squares_back(self):
         rng = np.random.default_rng(66)
         y = spd.random_spd(rng, 5)
-        root = spd.spd_sqrt_update(y)
+        root, root_inv = spd.sqrt_pair(y)
         assert np.max(np.abs(root @ root - y)) <= 1e-11 * np.max(np.abs(y))
         assert np.min(np.linalg.eigvalsh(root)) > 0
+        assert np.max(np.abs(root @ root_inv - np.eye(5))) <= 1e-12
 
 
 class TestCsgiStep:
+    """The chart-based stepper on SPD matrices."""
+
     def test_zero_field_fixed_point(self):
         rng = np.random.default_rng(67)
         y = spd.random_spd(rng, 3)
-        out, _ = spd.csgi_step(
-            builtin_tableau("rk4"), lambda p: np.zeros_like(p), y, 0.5
+        out, _ = cssi_step(
+            spd.SPD, builtin_tableau("rk4"), lambda p: np.zeros_like(p), y, 0.5
         )
         assert np.max(np.abs(out - y)) <= 1e-12
 
     def test_constant_field_euler_closed_form(self):
-        out, _ = spd.csgi_step(
-            builtin_tableau("euler"), lambda p: np.eye(2), np.eye(2), 0.3
+        out, _ = cssi_step(
+            spd.SPD, builtin_tableau("euler"), lambda p: np.eye(2), np.eye(2), 0.3
         )
         assert np.max(np.abs(out - math.exp(0.3) * np.eye(2))) <= 1e-13
 
@@ -122,8 +134,8 @@ class TestCsgiStep:
         rng = np.random.default_rng(68)
         y0 = spd.random_spd(rng, 3)
         field = double_bracket_field(np.diag([1.0, 2.0, 3.0]))
-        trajectory, records = spd.csgi_integrate(
-            builtin_tableau("rk4"), field, y0, 0.01, 100
+        trajectory, records = integrate(
+            spd.SPD, builtin_tableau("rk4"), field, y0, 0.01, 100
         )
         assert max(r.residual for r in records) <= 1e-12
         drift = np.max(
@@ -135,11 +147,12 @@ class TestCsgiStep:
     def test_non_symmetric_field_rejected(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(SymmetryViolation):
-            spd.csgi_step(builtin_tableau("euler"), lambda p: bad, np.eye(2), 0.1)
+            cssi_step(spd.SPD, builtin_tableau("euler"), lambda p: bad, np.eye(2), 0.1)
 
     def test_non_spd_point_rejected(self):
         with pytest.raises(NonPositiveDefinite):
-            spd.csgi_step(
+            cssi_step(
+                spd.SPD,
                 builtin_tableau("euler"),
                 lambda p: np.zeros_like(p),
                 np.diag([1.0, -0.5]),
@@ -157,8 +170,6 @@ class TestCsgiStep:
             theta = scale * theta_dir
             w = scale * w_dir
             ad2 = lambda x: spd.ad2(theta, x)
-            from symmflow.core import dexpinv_series_apply
-
             a = dexpinv_series_apply(DexpinvSeries.with_terms(1), ad2, w)
             b = dexpinv_series_apply(DexpinvSeries.with_terms(3), ad2, w)
             return float(np.max(np.abs(a - b)))
@@ -172,59 +183,35 @@ class TestCsgiStep:
         t = builtin_tableau("implicit_midpoint")
         errors = []
         for h in (0.1, 0.05):
-            trajectory, records = spd.csgi_integrate(
-                t, field, y0, h, round(1.0 / h)
-            )
+            trajectory, records = integrate(spd.SPD, t, field, y0, h, round(1.0 / h))
             assert all(r.fixed_point_iterations > 0 for r in records)
             errors.append(np.max(np.abs(trajectory[-1] - (y0 + np.eye(2)))))
         assert 3.0 <= errors[0] / errors[1] <= 5.0
 
 
-class TestSqrtModes:
-    def test_polar_update_agrees_with_recompute(self):
-        rng = np.random.default_rng(70)
-        y0 = spd.random_spd(rng, 3)
-        field = double_bracket_field(np.diag([1.0, 2.0, 3.0]))
-        t = builtin_tableau("rk4")
-        via_recompute, _ = spd.csgi_integrate(t, field, y0, 0.02, 50)
-        via_polar, _ = spd.csgi_integrate(
-            t, field, y0, 0.02, 50, sqrt_mode="polar", diagnostics=True
-        )
-        assert np.max(np.abs(via_recompute[-1] - via_polar[-1])) <= 1e-10
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            spd.csgi_integrate(
-                builtin_tableau("rk4"),
-                lambda p: np.zeros_like(p),
-                np.eye(2),
-                0.1,
-                1,
-                sqrt_mode="newton",
-            )
-
-
 class TestRebasedContract:
+    """The SPD chart against ambient routes that take no square root."""
+
     def test_generic_step_matches_fixed_base_step(self):
         rng = np.random.default_rng(71)
         y = spd.random_spd(rng, 3)
         field = double_bracket_field(np.diag([1.0, 2.0, 3.0]))
         t = builtin_tableau("rk4")
         for _ in range(10):
-            via_generic, _ = cssi_step(spd.SPD, t, field, y, 0.01, dexpinv_terms=2)
-            via_fixed, _ = spd.csgi_step(
-                t, field, y, 0.01, series=DexpinvSeries.with_terms(2)
-            )
-            assert np.max(np.abs(via_generic - via_fixed)) <= 1e-10
-            y = via_fixed
+            via_chart, _ = cssi_step(spd.SPD, t, field, y, 0.01, dexpinv_terms=2)
+            via_ambient = ambient_step("spd", t, field, y, 0.01, terms=2)
+            assert np.max(np.abs(via_chart - via_ambient)) <= 1e-10
+            y = via_chart
 
     def test_exp_at_identity_is_matrix_exponential(self):
         rng = np.random.default_rng(72)
         v = spd.random_sym(rng, 3)
-        assert np.max(np.abs(spd.SPD.exp_at(np.eye(3), v) - mat_exp(v))) <= 1e-12
+        assert np.max(np.abs(spd.SPD.chart(np.eye(3)).exp(v) - mat_exp(v))) <= 1e-12
 
     def test_triple_at_identity_reduces_to_commutators(self):
         rng = np.random.default_rng(73)
-        u, v, w = (spd.random_sym(rng, 3) for _ in range(3))
-        gap = np.max(np.abs(spd.SPD.triple(np.eye(3), u, v, w) - spd.triple(u, v, w)))
+        theta, w = (spd.random_sym(rng, 3) for _ in range(2))
+        c = w @ theta - theta @ w
+        by_hand = 0.25 * (c @ theta - theta @ c)
+        gap = np.max(np.abs(spd.SPD.chart(np.eye(3)).ad2(theta, w) - by_hand))
         assert gap <= 1e-12

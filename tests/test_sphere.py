@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from symmflow import sphere
-from symmflow.checks import dexp_forward_sphere
-from symmflow.core import cssi_step, triple_bracket_oracle
+from symmflow.checks import ambient_step, dexp_forward_sphere
+from symmflow.core import (
+    DexpinvSeries,
+    cssi_step,
+    dexpinv_series_apply,
+    integrate,
+    triple_bracket_oracle,
+)
 from symmflow.errors import MidpointUndefined, StepTooLarge
 from symmflow.linalg import mat_exp
 from symmflow.tableau import builtin_tableau
@@ -149,15 +155,13 @@ class TestDexpinv:
 
     def test_series_matches_closed_form(self):
         rng = np.random.default_rng(28)
-        from symmflow.core import dexpinv_coefficients
-
-        coeffs = dexpinv_coefficients(6)
         y = sphere.random_point(rng, 4)
         theta = sphere.random_tangent(rng, y, scale=0.3)
         w = sphere.random_tangent(rng, y)
-        gap = np.max(
-            np.abs(sphere.dexpinv(theta, w) - sphere.dexpinv_series(theta, w, coeffs))
+        series = dexpinv_series_apply(
+            DexpinvSeries.with_terms(6), lambda x: sphere.triple(x, theta, theta), w
         )
+        gap = np.max(np.abs(sphere.dexpinv(theta, w) - series))
         assert gap <= 1e-9
 
 
@@ -198,6 +202,8 @@ class TestQuadraticRepresentation:
 
 
 class TestCsiStepper:
+    """The chart-based stepper on the sphere."""
+
     inv_inertia = np.array([1.0, 0.5, 1.0 / 3.0])
 
     @staticmethod
@@ -207,11 +213,10 @@ class TestCsiStepper:
     def test_norm_preserved_over_thousand_steps(self):
         t = builtin_tableau("rk4")
         y0 = np.array([0.6, 0.0, 0.8])
-        _, records = sphere.csi_integrate(t, self.rigid_body, y0, 0.01, 1000)
+        _, records = integrate(sphere.SPHERE, t, self.rigid_body, y0, 0.01, 1000)
         assert max(r.residual for r in records) <= 1e-12
 
     def test_rotation_field_matches_matrix_exponential(self):
-        axis = np.array([0.2, 0.5, 1.0])
         generator = np.array(
             [[0.0, -1.0, 0.5], [1.0, 0.0, -0.2], [-0.5, 0.2, 0.0]]
         )
@@ -220,42 +225,47 @@ class TestCsiStepper:
         t = builtin_tableau("rk4")
         errors = []
         for h in (0.1, 0.05):
-            trajectory, _ = sphere.csi_integrate(t, field, y0, h, round(1.0 / h))
+            trajectory, _ = integrate(sphere.SPHERE, t, field, y0, h, round(1.0 / h))
             errors.append(
                 np.linalg.norm(trajectory[-1] - mat_exp(1.0 * generator) @ y0)
             )
         assert 13.0 <= errors[0] / errors[1] <= 19.0
 
     def test_huge_step_raises_step_too_large(self):
+        # The stage guard holds whichever dExp^{-1} the step uses.
         t = builtin_tableau("rk4")
         y0 = np.array([0.6, 0.0, 0.8])
-        with pytest.raises(StepTooLarge):
-            sphere.csi_step(t, self.rigid_body, y0, 50.0)
+        for terms in (None, 0, 3):
+            with pytest.raises(StepTooLarge):
+                cssi_step(
+                    sphere.SPHERE, t, self.rigid_body, y0, 50.0, dexpinv_terms=terms
+                )
 
     def test_agrees_with_generic_machinery(self):
+        # Against the ambient matrix-exponential step, an independent route.
         t = builtin_tableau("rk4")
         y = np.array([0.6, 0.0, 0.8])
         for _ in range(25):
-            via_generic, _ = cssi_step(sphere.SPHERE, t, self.rigid_body, y, 0.05)
-            via_special, _ = sphere.csi_step(t, self.rigid_body, y, 0.05)
-            assert np.max(np.abs(via_generic - via_special)) <= 1e-13
-            y = via_special
+            via_chart, _ = cssi_step(sphere.SPHERE, t, self.rigid_body, y, 0.05)
+            via_ambient = ambient_step("sphere", t, self.rigid_body, y, 0.05)
+            assert np.max(np.abs(via_chart - via_ambient)) <= 1e-13
+            y = via_chart
 
     def test_series_mode_agrees_between_paths(self):
         t = builtin_tableau("rk4")
         y = np.array([0.6, 0.0, 0.8])
         for terms in (0, 1, 3):
-            via_generic, _ = cssi_step(
+            via_chart, _ = cssi_step(
                 sphere.SPHERE, t, self.rigid_body, y, 0.05, dexpinv_terms=terms
             )
-            via_special, _ = sphere.csi_step(
-                t, self.rigid_body, y, 0.05, dexpinv_terms=terms
+            via_ambient = ambient_step(
+                "sphere", t, self.rigid_body, y, 0.05, terms=terms
             )
-            assert np.max(np.abs(via_generic - via_special)) <= 1e-13
+            assert np.max(np.abs(via_chart - via_ambient)) <= 1e-13
 
     def test_implicit_falls_back_to_generic(self):
         t = builtin_tableau("implicit_midpoint")
         y0 = np.array([0.6, 0.0, 0.8])
-        out, record = sphere.csi_step(t, self.rigid_body, y0, 0.1)
+        out, record = cssi_step(sphere.SPHERE, t, self.rigid_body, y0, 0.1)
         assert record.fixed_point_iterations > 0
         assert abs(float(out @ out) - 1.0) <= 1e-13
