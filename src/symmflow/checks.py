@@ -209,19 +209,18 @@ def identity_suite(seed: int = 0) -> list[CheckResult]:
     out.append(CheckResult("identity", "hyperbolic boost factorization", worst_boost, 1e-10))
     out.append(CheckResult("identity", "hyperbolic Q = boost squared", worst_q, 1e-10))
 
-    # SPD stage pullback: exp(-theta/2) W exp(-theta/2) agrees with routing
-    # the transport through the inverted exponential (independent eig path).
+    # SPD stage pullback: the chart's eigh-based exp(-theta/2) W exp(-theta/2)
+    # agrees with routing the transport through the inverted Taylor exponential.
     worst = 0.0
     for _ in range(20):
         yspd = random_spd(rng, 4)
         s_inv = spd_inv(spd_sqrt(yspd))
         theta = random_sym(rng, 4, scale=0.7)
         value = random_sym(rng, 4, scale=1.0)
-        pulled = s_inv @ value @ s_inv
-        exp_mhalf = mat_exp(-0.5 * theta)
-        direct = exp_mhalf @ pulled @ exp_mhalf
+        chart = SPD.chart(yspd)
+        direct = chart.pullback(theta, chart.exp(theta), value)
         inv_half = spd_inv(mat_exp(0.5 * theta))
-        composed = inv_half @ pulled @ inv_half
+        composed = inv_half @ (s_inv @ value @ s_inv) @ inv_half
         worst = max(worst, float(np.max(np.abs(direct - composed))))
     out.append(CheckResult("identity", "spd stage pullback composition", worst, 1e-12))
 

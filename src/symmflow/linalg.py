@@ -1,10 +1,14 @@
 """Minimal dense real linear algebra used by all geometries.
 
-Everything here targets small dense matrices (n up to ~50): a cyclic Jacobi
-eigensolver for symmetric matrices, a scaling-and-squaring matrix
-exponential, SPD square root / inverse built on the eigensolver, and the
-indefinite Minkowski bilinear form with signature (-, ..., -, +), time
-coordinate last.
+Everything here targets small dense matrices (n up to ~50): a symmetric
+eigendecomposition by LAPACK `eigh`, SPD square root / inverse built on it,
+a scaling-and-squaring Taylor matrix exponential, and the indefinite
+Minkowski bilinear form with signature (-, ..., -, +), time coordinate last.
+
+Functions of a symmetric matrix (the SPD geometry's square roots and
+exponentials) all go through `sym_eig`. `mat_exp` remains for the
+non-symmetric generators: the exact solutions of the linear problems and
+the ambient-step oracle in `checks`.
 """
 
 from __future__ import annotations
@@ -20,9 +24,6 @@ from .errors import DimensionMismatch, NonPositiveDefinite, NumericalFailure
 _EXP_TERMS = 14
 _EXP_THETA = 0.25
 
-_JACOBI_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 100
-
 
 def _as_square(a) -> np.ndarray:
     a = np.asarray(a)
@@ -37,66 +38,21 @@ def symmetrize(a) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def sym_eig(a, max_sweeps: int = _JACOBI_MAX_SWEEPS):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def sym_eig(a):
+    """Eigendecomposition of a symmetric matrix by LAPACK (`np.linalg.eigh`).
 
     Returns (eigenvalues ascending, eigenvector matrix V) with A = V diag(w) V^T
-    and V orthogonal. Convergence is declared when the off-diagonal Frobenius
-    norm drops below 1e-14 relative to the matrix norm; exceeding the sweep
-    cap raises NumericalFailure.
+    and V orthogonal. Only the lower triangle of `a` is read. Non-finite
+    entries, or a LAPACK failure to converge, raise NumericalFailure.
     """
-    a = _as_square(a).astype(float, copy=True)
-    n = a.shape[0]
+    a = _as_square(a)
     if not np.all(np.isfinite(a)):
         raise NumericalFailure("matrix has non-finite entries")
-    v = np.eye(n)
-    if n == 1:
-        return a.ravel().copy(), v
-
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return np.zeros(n), v
-    tol = _JACOBI_TOL * scale
-
-    converged = False
-    off_diag = np.ones((n, n), dtype=bool)
-    np.fill_diagonal(off_diag, False)
-    for sweep in range(max_sweeps + 1):
-        off = math.sqrt(float(np.sum(a[off_diag] ** 2)))
-        if off <= tol:
-            converged = True
-            break
-        if sweep == max_sweeps:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-3 * tol / n:
-                    continue
-                # Classic symmetric Schur rotation annihilating a[p, q].
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    if not converged:
-        raise NumericalFailure(
-            f"Jacobi sweep cap ({max_sweeps}) reached without convergence"
-        )
-
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as err:
+        raise NumericalFailure(f"eigendecomposition failed: {err}") from err
+    return w, v
 
 
 def mat_exp(a) -> np.ndarray:

@@ -80,10 +80,14 @@ def _build_rigid_body(dim, seed, T, params):
     if inertia.shape != (3,) or np.any(inertia <= 0):
         raise ValueError("inertia must be three positive moments")
     inv_inertia = 1.0 / inertia
+    i0, i1, i2 = inv_inertia.tolist()
     y0 = np.asarray(params.get("y0", (0.6, 0.0, 0.8)), dtype=float)
 
     def field(y):
-        return np.cross(y, inv_inertia * y)
+        # y x (inertia^{-1} y), written out: np.cross has a high per-call cost.
+        m0, m1, m2 = y.tolist()
+        z0, z1, z2 = i0 * m0, i1 * m1, i2 * m2
+        return np.array([m1 * z2 - m2 * z1, m2 * z0 - m0 * z2, m0 * z1 - m1 * z0])
 
     def energy(y):
         return 0.5 * float(y @ (inv_inertia * y))
@@ -96,6 +100,8 @@ def _build_rotation(dim, seed, T, params):
     if dim != 2:
         raise ValueError("rotation is defined on the 2-sphere (dim 2)")
     axis = np.asarray(params.get("axis", (0.2, 0.5, 1.0)), dtype=float)
+    if axis.shape != (3,):
+        raise ValueError("axis must be a 3-vector")
     y0 = np.asarray(params.get("y0", (0.6, 0.0, 0.8)), dtype=float)
     generator = np.array(
         [
@@ -104,9 +110,12 @@ def _build_rotation(dim, seed, T, params):
             [-axis[1], axis[0], 0.0],
         ]
     )
+    a0, a1, a2 = axis.tolist()
 
     def field(y):
-        return np.cross(axis, y)
+        # axis x y, written out as in the rigid body.
+        m0, m1, m2 = y.tolist()
+        return np.array([a1 * m2 - a2 * m1, a2 * m0 - a0 * m2, a0 * m1 - a1 * m0])
 
     def exact(t):
         return mat_exp(t * generator) @ y0

@@ -10,6 +10,8 @@ y -> s y s with s = sqrt(y_l), computed once per step:
     Kt_i = K_i + c_1 x K_i + c_2 x^2 K_i + ...,   x = (1/4)[[., theta_i], theta_i]
     y_next = s exp(sum_j b_j Kt_j) s
 
+Every theta_i is symmetric, so one eigendecomposition theta_i = V diag(w) V^T
+gives both exp(theta_i) and exp(-theta_i/2), as one of y_l gives s and s^{-1}.
 All products of symmetric factors are re-symmetrized to suppress round-off
 drift, so SPD-ness of the output is structural.
 """
@@ -20,7 +22,7 @@ import numpy as np
 
 from .core import Chart, SpaceContract
 from .errors import DimensionMismatch, NonPositiveDefinite, SymmetryViolation
-from .linalg import mat_exp, sym_eig, symmetrize
+from .linalg import sym_eig, symmetrize
 
 
 def quadratic(s, y) -> np.ndarray:
@@ -76,22 +78,33 @@ class SpdChart(Chart):
 
     Points and field values move between y and I through s = sqrt(y), taken
     once when the chart is built; a non-SPD y raises NonPositiveDefinite.
+    exp(theta) and exp(-theta/2) come from one eigendecomposition of the
+    symmetric theta: `exp` keeps (theta, w, V) of its last call, and
+    `pullback` reuses them when handed that same theta object, as the
+    stepper does for each stage.
     """
 
     def __init__(self, y):
         self.s, self.s_inv = sqrt_pair(y)
+        self._eig = (None, None, None)
 
     def norm(self, theta) -> float:
         return float(np.linalg.norm(theta))
 
     def exp(self, theta):
-        return symmetrize(self.s @ mat_exp(theta) @ self.s)
+        w, v = sym_eig(theta)
+        self._eig = (theta, w, v)
+        sv = self.s @ v
+        return symmetrize((sv * np.exp(w)) @ sv.T)
 
     def at_base(self, value):
         return symmetrize(self.s_inv @ value @ self.s_inv)
 
     def pullback(self, theta, endpoint, value):
-        half = mat_exp(-0.5 * theta)
+        cached, w, v = self._eig
+        if cached is not theta:
+            w, v = sym_eig(theta)
+        half = (v * np.exp(-0.5 * w)) @ v.T
         return symmetrize(half @ (self.s_inv @ value @ self.s_inv) @ half)
 
     def ad2(self, theta, w):

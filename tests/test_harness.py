@@ -53,6 +53,20 @@ class TestProblems:
         y = problem.spec.y0
         assert abs(float(problem.field(y) @ y)) < 1e-14
 
+    @pytest.mark.parametrize("name", ["rigid_body", "rotation"])
+    def test_sphere_fields_match_np_cross(self, name):
+        problem = build_problem("sphere", name)
+        if name == "rigid_body":
+            inv_inertia = 1.0 / np.array(problem.spec.params["inertia"])
+            reference = lambda y: np.cross(y, inv_inertia * y)
+        else:
+            axis = np.array(problem.spec.params["axis"])
+            reference = lambda y: np.cross(axis, y)
+        rng = np.random.default_rng(8)
+        for scale in (1e-8, 1.0, 1e8):
+            for y in scale * rng.standard_normal((500, 3)):
+                assert np.array_equal(problem.field(y), reference(y))
+
     def test_lorentz_field_is_tangent(self):
         from symmflow.linalg import minkowski
 
@@ -137,6 +151,18 @@ class TestRunProblem:
                 )
             )
         assert 10.0 <= drifts[0] / drifts[1] <= 22.0
+
+    def test_double_bracket_n30_stays_spd_and_near_isospectral(self):
+        problem = build_problem("spd", "double_bracket", dim=30, T=0.2)
+        trajectory, records, _ = run_problem(problem, "rk4", 0.01)
+        assert len(records) == 20
+        assert max(r.residual for r in records) <= 1e-12
+        assert min(np.linalg.eigvalsh(p).min() for p in trajectory) > 0.0
+        before = np.linalg.eigvalsh(trajectory[0])
+        after = np.linalg.eigvalsh(trajectory[-1])
+        # rk4 is not isospectral: the drift (1.07e-3 here) is its truncation
+        # error, falling ~20x per halving of h, so the bound is set above it.
+        assert np.max(np.abs(after - before)) <= 2e-3 * np.max(before)
 
 
 class TestConverge:

@@ -43,10 +43,18 @@ class TestSymEig:
             assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-12
             assert np.all(np.diff(w) >= 0)
 
-    def test_sweep_cap_raises(self):
+    def test_lapack_failure_raises_numerical_failure(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         a = symmetrize(np.random.default_rng(2).standard_normal((4, 4)))
+        with pytest.raises(NumericalFailure, match="did not converge"):
+            sym_eig(a)
+
+    def test_non_finite_raises_numerical_failure(self):
         with pytest.raises(NumericalFailure):
-            sym_eig(a, max_sweeps=0)
+            sym_eig(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symmflow import spd
 from symmflow.checks import ambient_step
@@ -215,3 +216,62 @@ class TestRebasedContract:
         by_hand = 0.25 * (c @ theta - theta @ c)
         gap = np.max(np.abs(spd.SPD.chart(np.eye(3)).ad2(theta, w) - by_hand))
         assert gap <= 1e-12
+
+
+def _relative_gap(a, b) -> float:
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+class TestChartExponentials:
+    """The chart's eigh-based exp(theta) and exp(-theta/2) against Taylor `mat_exp`."""
+
+    @staticmethod
+    def _draw(seed, n, theta_norm, log10_cond):
+        # y = Q diag(lam) Q^T with condition number exactly 10**log10_cond.
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = 10.0 ** (log10_cond * rng.uniform(0.0, 1.0, n))
+        if n > 1:
+            lam[0], lam[-1] = 1.0, 10.0**log10_cond
+        y = symmetrize((q * lam) @ q.T)
+        theta, other = (spd.random_sym(rng, n, scale=theta_norm) for _ in range(2))
+        value = symmetrize(rng.standard_normal((n, n)))
+        return y, theta, other, value
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        theta_norm=st.floats(0.0, 4.0),
+        log10_cond=st.floats(0.0, 6.0),
+    )
+    def test_exp_and_pullback_match_taylor_route(self, seed, n, theta_norm, log10_cond):
+        y, theta, other, value = self._draw(seed, n, theta_norm, log10_cond)
+        chart = spd.SPD.chart(y)
+        endpoint = chart.exp(theta)
+        taylor = symmetrize(chart.s @ mat_exp(theta) @ chart.s)
+        assert _relative_gap(endpoint, taylor) <= 1e-12
+
+        pulled = chart.pullback(theta, endpoint, value)
+        half = mat_exp(-0.5 * theta)
+        taylor = symmetrize(half @ (chart.s_inv @ value @ chart.s_inv) @ half)
+        assert _relative_gap(pulled, taylor) <= 1e-12
+
+        fresh = chart.pullback(theta.copy(), endpoint, value)
+        assert np.array_equal(fresh, pulled)
+
+        # A theta other than the one exp last saw is decomposed afresh.
+        half = mat_exp(-0.5 * other)
+        taylor = symmetrize(half @ (chart.s_inv @ value @ chart.s_inv) @ half)
+        assert _relative_gap(chart.pullback(other, endpoint, value), taylor) <= 1e-12
+
+    def test_rk4_step_takes_five_decompositions(self, monkeypatch):
+        # One for sqrt(y), one per non-zero stage (3) shared by its exp and
+        # pullback, and one for the update.
+        calls = []
+        real = spd.sym_eig
+        monkeypatch.setattr(spd, "sym_eig", lambda a: calls.append(a) or real(a))
+        y = spd.random_spd(np.random.default_rng(75), 5)
+        field = double_bracket_field(np.diag(np.arange(1.0, 6.0)))
+        cssi_step(spd.SPD, builtin_tableau("rk4"), field, y, 0.01)
+        assert len(calls) == 5
