@@ -27,6 +27,7 @@ from .errors import (
     MidpointUndefined,
     NonPositiveDefinite,
     NonSpacelikeTangent,
+    NotOnManifold,
     NumericalFailure,
     ReferenceUnavailable,
     StepTooLarge,
@@ -54,6 +55,7 @@ __all__ = [
     "MidpointUndefined",
     "NonPositiveDefinite",
     "NonSpacelikeTangent",
+    "NotOnManifold",
     "NumericalFailure",
     "ReferenceUnavailable",
     "SPD",

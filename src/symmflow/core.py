@@ -37,7 +37,13 @@ from math import comb, factorial
 
 import numpy as np
 
-from .errors import FixedPointDivergence, NumericalFailure, StepTooLarge, SymmflowError
+from .errors import (
+    DimensionMismatch,
+    FixedPointDivergence,
+    NumericalFailure,
+    StepTooLarge,
+    SymmflowError,
+)
 from .tableau import ButcherTableau
 
 RENORM_THRESHOLD = 1e-12
@@ -104,12 +110,29 @@ class SpaceContract(ABC):
         """The chart at y, holding whatever base data a step reuses."""
 
     @abstractmethod
+    def check_point(self, y) -> None:
+        """Raise NotOnManifold unless y lies on the manifold up to round-off
+        (its constraint residual within RENORM_THRESHOLD, relative to the
+        size of y), and DimensionMismatch unless y is a non-empty ndarray of
+        the geometry's rank."""
+
+    @abstractmethod
     def invariant_residual(self, y) -> float:
         """Distance of y from the manifold constraint (0 on the manifold)."""
 
     @abstractmethod
     def renormalize(self, y):
         """Cheap projection of a slightly drifted point back to the manifold."""
+
+
+def require_ndarray(y, ndim: int) -> None:
+    """DimensionMismatch unless y is a non-empty ndarray with `ndim` axes (square if 2)."""
+    ok = isinstance(y, np.ndarray) and y.ndim == ndim and y.size > 0
+    if ok and ndim == 2:
+        ok = y.shape[0] == y.shape[1]
+    if not ok:
+        got = getattr(y, "shape", type(y).__name__)
+        raise DimensionMismatch(f"expected a point as an ndarray of {ndim} axes: {got}")
 
 
 @lru_cache(maxsize=None)
@@ -217,7 +240,11 @@ def cssi_step(
 
     def eval_field(p):
         nonlocal defect
-        v, d = chart.field_value(p, field(p), diagnostics)
+        value = field(p)
+        if not isinstance(value, np.ndarray) or value.shape != p.shape:
+            got = getattr(value, "shape", type(value).__name__)
+            raise DimensionMismatch(f"field value must be an ndarray of shape {p.shape}: {got}")
+        v, d = chart.field_value(p, value, diagnostics)
         if d > defect:
             defect = d
         return v
@@ -323,7 +350,12 @@ def integrate(
     dexpinv_terms=None,
     diagnostics: bool = False,
 ):
-    """March n_steps of cssi_step from y0; see `march` for the loop contract."""
+    """March n_steps of cssi_step from y0; see `march` for the loop contract.
+
+    y0 must lie on the manifold: `space.check_point` raises NotOnManifold
+    (or DimensionMismatch) before the first step otherwise.
+    """
+    space.check_point(y0)
 
     def step(y):
         return cssi_step(

@@ -16,6 +16,10 @@ class DimensionMismatch(SymmflowError):
     """Operands have incompatible shapes."""
 
 
+class NotOnManifold(SymmflowError):
+    """An initial point is off the manifold (its constraint, sheet or definiteness)."""
+
+
 class NumericalFailure(SymmflowError):
     """A kernel failed to converge, or a step met a non-finite value."""
 

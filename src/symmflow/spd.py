@@ -20,9 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Chart, SpaceContract
-from .errors import DimensionMismatch, NonPositiveDefinite, SymmetryViolation
+from .core import RENORM_THRESHOLD, Chart, SpaceContract, require_ndarray
+from .errors import DimensionMismatch, NonPositiveDefinite, NotOnManifold, SymmetryViolation
 from .linalg import sym_eig, symmetrize
+
+# A base point's smallest eigenvalue must exceed this times its max-norm.
+_PD_EPS = 1e-13
 
 
 def quadratic(s, y) -> np.ndarray:
@@ -49,7 +52,7 @@ def ad2(theta, w) -> np.ndarray:
 def sqrt_pair(y):
     """(sqrt(y), sqrt(y)^{-1}) from a single eigendecomposition."""
     w, v = sym_eig(y)
-    if w[0] <= 1e-13 * float(np.max(np.abs(y))):
+    if w[0] <= _PD_EPS * float(np.max(np.abs(y))):
         raise NonPositiveDefinite(f"matrix is not positive definite (min eig {w[0]:.3e})")
     root = np.sqrt(w)
     return symmetrize((v * root) @ v.T), symmetrize((v / root) @ v.T)
@@ -122,6 +125,18 @@ class SpdSpace(SpaceContract):
 
     def chart(self, y) -> SpdChart:
         return SpdChart(y)
+
+    def check_point(self, y) -> None:
+        require_ndarray(y, 2)
+        if not np.all(np.isfinite(y)):
+            raise NotOnManifold("matrix has non-finite entries")
+        scale = float(np.max(np.abs(y)))
+        skew = self.invariant_residual(y)
+        if skew > RENORM_THRESHOLD * scale:
+            raise NotOnManifold(f"matrix is not symmetric: max |y - y^T| = {skew:.3e}")
+        low = float(np.linalg.eigvalsh(y)[0])
+        if low <= _PD_EPS * scale:
+            raise NotOnManifold(f"matrix is not positive definite (min eig {low:.3e})")
 
     def invariant_residual(self, y) -> float:
         return float(np.max(np.abs(y - y.T)))

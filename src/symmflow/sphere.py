@@ -18,8 +18,8 @@ import math
 
 import numpy as np
 
-from .core import Chart, SpaceContract
-from .errors import MidpointUndefined, NumericalFailure, StepTooLarge
+from .core import RENORM_THRESHOLD, Chart, SpaceContract, require_ndarray
+from .errors import MidpointUndefined, NotOnManifold, NumericalFailure, StepTooLarge
 
 PHI_SMALL = 1e-4
 MAX_STAGE_ANGLE = math.pi - 1e-6
@@ -143,6 +143,12 @@ class SphereSpace(SpaceContract):
 
     def chart(self, y) -> SphereChart:
         return SphereChart(y)
+
+    def check_point(self, y) -> None:
+        require_ndarray(y, 1)
+        residual = self.invariant_residual(y)
+        if not residual <= RENORM_THRESHOLD:
+            raise NotOnManifold(f"point is not a unit vector: |y|^2 - 1 = {residual:.3e}")
 
     def invariant_residual(self, y) -> float:
         return abs(float(y @ y) - 1.0)

@@ -16,7 +16,13 @@ from symmflow.core import (
     march,
     triple_bracket_oracle,
 )
-from symmflow.errors import FixedPointDivergence, NumericalFailure, StepTooLarge
+from symmflow.errors import (
+    DimensionMismatch,
+    FixedPointDivergence,
+    NotOnManifold,
+    NumericalFailure,
+    StepTooLarge,
+)
 from symmflow.problems import build_problem
 from symmflow.tableau import builtin_tableau
 
@@ -236,6 +242,99 @@ def test_non_finite_or_unnormalizable_raises_numerical_failure(case):
         NON_FINITE_CASES[case]()
     expected_step = 0 if "renormalize" in case else 2
     assert excinfo.value.step_index == expected_step
+
+
+_ON_MANIFOLD = {
+    "sphere": (sphere.SPHERE, np.array([0.6, 0.0, 0.8])),
+    "hyperbolic": (hyperbolic.HYPERBOLOID, hyperbolic.base_point(2)),
+    "spd": (spd.SPD, np.diag([1.0, 1.5, 2.0]) + 0.1),
+}
+_GENERATORS = {"sphere": _ROT, "hyperbolic": _ROT + _BOOST}
+
+
+def _field(geometry):
+    if geometry == "spd":
+        return lambda p: p @ _DIAG @ p
+    return lambda p: _GENERATORS[geometry] @ p
+
+
+def _bad_after(calls, field, bad):
+    """`field` for the first `calls` evaluations (one rk4 step below), then `bad`."""
+    count = [0]
+
+    def wrapped(p):
+        count[0] += 1
+        return field(p) if count[0] <= calls else bad(p)
+
+    return wrapped
+
+
+BAD_FIELD_VALUES = {
+    "wrong-shape": lambda p: np.zeros(p.size + 1),
+    "list": lambda p: p.tolist(),
+    "none": lambda p: None,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_FIELD_VALUES))
+@pytest.mark.parametrize("geometry", sorted(_ON_MANIFOLD))
+def test_bad_field_value_raises_dimension_mismatch(geometry, kind):
+    space, y0 = _ON_MANIFOLD[geometry]
+    field = _bad_after(4, _field(geometry), BAD_FIELD_VALUES[kind])
+    with pytest.raises(DimensionMismatch) as excinfo:
+        integrate(space, builtin_tableau("rk4"), field, y0, 0.01, 3)
+    assert excinfo.value.step_index == 1
+
+
+OFF_MANIFOLD = {
+    "sphere-norm-2": ("sphere", np.array([0.0, 0.0, 2.0])),
+    "hyperbolic-lower-sheet": ("hyperbolic", -hyperbolic.base_point(2)),
+    "hyperbolic-residual": ("hyperbolic", np.array([0.5, 0.0, 1.0])),
+    "spd-not-symmetric": ("spd", np.array([[1.0, 0.5], [0.0, 1.0]])),
+    "spd-indefinite": ("spd", np.diag([1.0, -1.0])),
+    "spd-non-finite": ("spd", np.diag([1.0, np.inf])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFF_MANIFOLD))
+def test_initial_point_off_manifold_rejected(case):
+    geometry, y0 = OFF_MANIFOLD[case]
+    calls = []
+    with pytest.raises(NotOnManifold) as excinfo:
+        integrate(
+            _ON_MANIFOLD[geometry][0], builtin_tableau("rk4"),
+            lambda p: calls.append(p) or np.zeros_like(p), y0, 0.01, 3,
+        )
+    assert calls == []
+    assert excinfo.value.step_index is None
+
+
+@pytest.mark.parametrize("geometry", sorted(_ON_MANIFOLD))
+def test_initial_point_not_an_array_rejected(geometry):
+    space, y0 = _ON_MANIFOLD[geometry]
+    with pytest.raises(DimensionMismatch):
+        integrate(space, builtin_tableau("rk4"), _field(geometry), y0.tolist(), 0.01, 3)
+    for bad in (y0[..., None], np.empty((0,) * y0.ndim)):
+        with pytest.raises(DimensionMismatch):
+            integrate(space, builtin_tableau("rk4"), _field(geometry), bad, 0.01, 3)
+
+
+ON_MANIFOLD_FAR_OUT = {
+    "sphere": lambda rng: sphere.random_point(rng, 6),
+    # rapidity 6: <y, y> - 1 carries round-off of order e^12 ulps
+    "hyperbolic": lambda rng: hyperbolic.random_point(rng, 6, scale=6.0),
+    "spd": lambda rng: 1e6 * spd.random_spd(rng, 6),
+}
+
+
+@pytest.mark.parametrize("geometry", sorted(_ON_MANIFOLD))
+def test_initial_point_on_manifold_accepted(geometry):
+    space = _ON_MANIFOLD[geometry][0]
+    for y0 in (_ON_MANIFOLD[geometry][1], ON_MANIFOLD_FAR_OUT[geometry](np.random.default_rng(3))):
+        trajectory, _ = integrate(
+            space, builtin_tableau("rk4"), lambda p: np.zeros_like(p), y0, 0.01, 2
+        )
+        assert trajectory[0] is y0
 
 
 class TestLtsAxioms:

@@ -1,13 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symmflow import hyperbolic
 from symmflow.checks import ambient_step, dexp_forward_hyperbolic
 from symmflow.core import cssi_step, integrate, triple_bracket_oracle
 from symmflow.errors import NonSpacelikeTangent, StepTooLarge
 from symmflow.linalg import mat_exp, minkowski, minkowski_metric
+from symmflow.problems import build_problem
 from symmflow.tableau import builtin_tableau
 
 O2 = np.array([0.0, 0.0, 1.0])
@@ -267,3 +270,118 @@ class TestChiStepper:
         t = builtin_tableau("rk4")
         trajectory, _ = integrate(hyperbolic.HYPERBOLOID, t, field, O2, 0.05, 200)
         assert all(point[-1] >= 1.0 - 1e-12 for point in trajectory)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the guard error it raises."""
+    try:
+        return fn(*args)
+    except (NonSpacelikeTangent, StepTooLarge) as err:
+        return type(err)
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return a.tobytes() == b.tobytes()
+
+
+class TestChartStageCache:
+    """The chart's one-square-per-stage slot against the public functions, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        rapidity=st.one_of(
+            st.floats(0.0, 30.0), st.floats(0.0, 2.0 * hyperbolic.PHI_SMALL)
+        ),
+        base_rapidity=st.floats(0.0, 3.0),
+    )
+    def test_chart_matches_public_functions(self, seed, n, rapidity, base_rapidity):
+        rng = np.random.default_rng(seed)
+        base = hyperbolic.random_point(rng, n, scale=base_rapidity)
+        theta = hyperbolic.random_tangent(rng, base, scale=rapidity)
+        other = hyperbolic.random_tangent(rng, base, scale=0.5)
+        value, w = (hyperbolic.random_tangent(rng, base) for _ in range(2))
+
+        def public(t):
+            return (
+                _outcome(hyperbolic.exp_point, base, t),
+                _outcome(lambda: hyperbolic.transport_inv(hyperbolic.exp_half(base, t), value)),
+                hyperbolic.dexpinv(t, w),
+            )
+
+        def via_chart(chart, t):
+            return (
+                _outcome(chart.exp, t),
+                _outcome(chart.pullback, t, None, value),
+                chart.dexpinv(t, w),
+            )
+
+        chart = hyperbolic.HYPERBOLOID.chart(base)
+        assert chart.norm(theta) == math.sqrt(max(-minkowski(theta, theta), 0.0))
+        expected = public(theta)
+        assert all(map(_same, via_chart(chart, theta), expected))
+        # A copy is a new key: computed afresh, to the same bits.
+        assert all(map(_same, via_chart(chart, theta.copy()), expected))
+        # After theta filled the slot, another object is not served from it.
+        chart.norm(theta)
+        assert all(map(_same, via_chart(chart, other), public(other)))
+        assert all(map(_same, via_chart(chart, theta), expected))
+
+    @pytest.mark.parametrize(
+        "theta, error",
+        [
+            (np.array([0.0, 0.0, 0.5]), NonSpacelikeTangent),
+            (np.array([0.3, 0.0, 0.4]), NonSpacelikeTangent),
+            (np.array([31.0, 0.0, 0.0]), StepTooLarge),
+        ],
+    )
+    def test_guards_raise_on_every_call(self, theta, error):
+        for fn in (hyperbolic.exp_point, hyperbolic.exp_half):
+            with pytest.raises(error):
+                fn(O2, theta)
+        chart = hyperbolic.HYPERBOLOID.chart(O2)
+        chart.exp(np.array([0.1, 0.0, 0.0]))  # a checked stage in the slot
+        chart.norm(theta)
+        for _ in range(2):
+            with pytest.raises(error):
+                chart.exp(theta)
+            with pytest.raises(error):
+                chart.pullback(theta, None, np.ones(3))
+        w = np.array([0.0, 1.0, 0.0])
+        assert _same(chart.dexpinv(theta, w), hyperbolic.dexpinv(theta, w))
+
+
+def test_implicit_midpoint_minkowski_calls(monkeypatch):
+    # Three Minkowski products per non-zero stage: its square, the transport
+    # and <theta, w> in dExp^{-1}. Plus the zero initial stage's norm, the
+    # update's norm and the step's residual.
+    problem = build_problem("hyperbolic", "lorentz_linear", dim=16, seed=7)
+    t = builtin_tableau("implicit_midpoint")
+    calls = []
+    real = hyperbolic.minkowski
+    monkeypatch.setattr(hyperbolic, "minkowski", lambda y, z: calls.append(y) or real(y, z))
+    _, record = cssi_step(hyperbolic.HYPERBOLOID, t, problem.field, problem.spec.y0, 0.01)
+    assert record.fixed_point_iterations == 5
+    assert len(calls) == 3 * record.fixed_point_iterations + 3
+
+
+# sha256 of the trajectory bytes of lorentz_linear dim 16 seed 7, h = 0.01 to
+# T = 2, taken with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64. An edit that
+# reorders the arithmetic of a step changes them.
+TRAJECTORY_SHA256 = {
+    "implicit_midpoint": "98ea817f05b457079ba87826e879323913a351e399e8ce1bbaa7a88ec4630be1",
+    "rk4": "72113af557fe426e951c6562653d393f8497f7f80a25245618b0567c7408eac9",
+}
+
+
+@pytest.mark.parametrize("method", sorted(TRAJECTORY_SHA256))
+def test_trajectory_bits_are_pinned(method):
+    problem = build_problem("hyperbolic", "lorentz_linear", dim=16, seed=7, T=2.0)
+    trajectory, _ = integrate(
+        hyperbolic.HYPERBOLOID, builtin_tableau(method), problem.field, problem.spec.y0, 0.01, 200
+    )
+    digest = hashlib.sha256(np.stack(trajectory).tobytes()).hexdigest()
+    assert digest == TRAJECTORY_SHA256[method]
