@@ -35,10 +35,11 @@ from .errors import (
     SymmflowError,
     UnknownTableau,
 )
-from .hyperbolic import HYPERBOLOID, HyperbolicSpace
+from .curved import CurvedSpace
+from .hyperbolic import HYPERBOLOID
 from .linalg import mat_exp, minkowski, spd_inv, spd_sqrt, sym_eig
 from .spd import SPD, SpdSpace
-from .sphere import SPHERE, SphereSpace
+from .sphere import SPHERE
 from .tableau import ButcherTableau, builtin_tableau, check_order_conditions
 
 __version__ = "0.1.0"
@@ -46,11 +47,11 @@ __version__ = "0.1.0"
 __all__ = [
     "ButcherTableau",
     "Chart",
+    "CurvedSpace",
     "DexpinvSeries",
     "DimensionMismatch",
     "FixedPointDivergence",
     "HYPERBOLOID",
-    "HyperbolicSpace",
     "IoFailure",
     "MidpointUndefined",
     "NonPositiveDefinite",
@@ -62,7 +63,6 @@ __all__ = [
     "SPHERE",
     "SpaceContract",
     "SpdSpace",
-    "SphereSpace",
     "StepRecord",
     "StepTooLarge",
     "SymmetryViolation",

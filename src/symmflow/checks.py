@@ -218,7 +218,7 @@ def identity_suite(seed: int = 0) -> list[CheckResult]:
         theta = random_sym(rng, 4, scale=0.7)
         value = random_sym(rng, 4, scale=1.0)
         chart = SPD.chart(yspd)
-        direct = chart.pullback(theta, chart.exp(theta), value)
+        direct = chart.pullback(theta, chart.stage(theta)[1], value)
         inv_half = spd_inv(mat_exp(0.5 * theta))
         composed = inv_half @ (s_inv @ value @ s_inv) @ inv_half
         worst = max(worst, float(np.max(np.abs(direct - composed))))

@@ -56,33 +56,36 @@ class Chart(ABC):
 
     Stage tangents are chart coordinates at the base: ambient tangent vectors
     at y on the sphere and hyperboloid, symmetric matrices at the identity on
-    SPD. Every method treats its arguments as immutable.
+    SPD. `stage(theta)` returns (phi, data); the stepper hands data back with
+    the same theta to `exp`, `pullback` and `dexpinv`, so whatever a stage
+    needs more than once (a square, an eigendecomposition) is taken once.
+    Every method treats its arguments as immutable.
     """
 
     #: stages whose magnitude reaches this raise StepTooLarge
     stage_limit: float = math.inf
 
     @abstractmethod
-    def norm(self, theta) -> float:
-        """Stage magnitude phi used for records and guards."""
+    def stage(self, theta):
+        """(phi, data): the stage magnitude, for records and guards, and its stage data."""
 
     @abstractmethod
-    def exp(self, theta):
-        """The point Exp_y(theta)."""
+    def exp(self, theta, data):
+        """The point Exp_y(theta); y itself when phi is 0."""
 
     @abstractmethod
     def at_base(self, value):
         """Chart coordinates of a field value at the base point itself."""
 
     @abstractmethod
-    def pullback(self, theta, endpoint, value):
-        """Chart coordinates of a field value at endpoint = exp(theta)."""
+    def pullback(self, theta, data, value):
+        """Chart coordinates of a field value at exp(theta, data), for phi > 0."""
 
     @abstractmethod
     def ad2(self, theta, w):
         """Double bracket w -> [w, theta, theta] feeding the dExp^{-1} series."""
 
-    def dexpinv(self, theta, w):
+    def dexpinv(self, theta, data, w):
         """Closed-form dExp^{-1}_theta w, for spaces with `has_closed_dexpinv`."""
         raise NotImplementedError
 
@@ -112,9 +115,17 @@ class SpaceContract(ABC):
     @abstractmethod
     def check_point(self, y) -> None:
         """Raise NotOnManifold unless y lies on the manifold up to round-off
-        (its constraint residual within RENORM_THRESHOLD, relative to the
-        size of y), and DimensionMismatch unless y is a non-empty ndarray of
-        the geometry's rank."""
+        (`within_tolerance`), and DimensionMismatch unless y is a non-empty
+        ndarray of the geometry's rank."""
+
+    @abstractmethod
+    def scale(self, y) -> float:
+        """The size of y that its invariant residual is measured against."""
+
+    def within_tolerance(self, y, residual: float) -> bool:
+        """The on-manifold test of `check_point` and `march`: the residual of y
+        is at most RENORM_THRESHOLD times its scale (False for NaN)."""
+        return residual <= RENORM_THRESHOLD * self.scale(y)
 
     @abstractmethod
     def invariant_residual(self, y) -> float:
@@ -195,7 +206,6 @@ class StepRecord:
     stage_norms: tuple[float, ...]
     residual: float
     renormalized: bool = False
-    step_rejected: bool = False
     fixed_point_iterations: int = 0
     tangency_defect: float = 0.0
 
@@ -250,16 +260,15 @@ def cssi_step(
         return v
 
     def stage_value(i, theta):
-        phi = chart.norm(theta)
+        phi, data = chart.stage(theta)
         stage_norms[i] = phi
         if not phi < chart.stage_limit:  # also NaN and inf
             raise _bad_stage(phi, chart.stage_limit)
         if phi == 0.0:
             return chart.at_base(h * eval_field(y))
-        endpoint = chart.exp(theta)
-        k = chart.pullback(theta, endpoint, h * eval_field(endpoint))
+        k = chart.pullback(theta, data, h * eval_field(chart.exp(theta, data)))
         if series is None:
-            return chart.dexpinv(theta, k)
+            return chart.dexpinv(theta, data, k)
         return dexpinv_series_apply(series, lambda w: chart.ad2(theta, w), k)
 
     def combine(row, ktil):
@@ -291,10 +300,10 @@ def cssi_step(
             )
 
     theta_out = combine(b, ktil)
-    phi_out = chart.norm(theta_out)
+    phi_out, data_out = chart.stage(theta_out)
     if not math.isfinite(phi_out):
         raise NumericalFailure(f"update tangent is not finite (norm {phi_out})")
-    y_next = chart.exp(theta_out)
+    y_next = chart.exp(theta_out, data_out)
 
     record = StepRecord(
         index=-1,
@@ -311,8 +320,8 @@ def march(step_fn, space: SpaceContract, y0, n_steps: int):
     """Drive a single-step map n_steps times, renormalizing drifted points.
 
     Returns (trajectory, records) with n_steps + 1 points starting at y0.
-    Points whose manifold residual exceeds 1e-12 are renormalized before
-    being stored (the pre-renormalization residual stays in the record); a
+    Points that fail `space.within_tolerance` are renormalized before being
+    stored (the pre-renormalization residual stays in the record); a
     non-finite residual raises NumericalFailure. Step errors are re-raised
     with `step_index` attached.
     """
@@ -322,7 +331,7 @@ def march(step_fn, space: SpaceContract, y0, n_steps: int):
     for step in range(n_steps):
         try:
             y_next, record = step_fn(y)
-            if not record.residual <= RENORM_THRESHOLD:
+            if not space.within_tolerance(y_next, record.residual):
                 if not math.isfinite(record.residual):
                     raise NumericalFailure(
                         f"step produced a non-finite point (residual {record.residual})"

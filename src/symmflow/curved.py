@@ -1,0 +1,155 @@
+"""Constant-curvature spaces: the unit sphere and the hyperboloid as one case.
+
+Both are the level set {y : B(y, y) = 1} of a symmetric bilinear form B on
+R^{n+1}: the dot product for the sphere (sectional curvature kappa = +1),
+the Minkowski form for the hyperboloid (kappa = -1). Tangents at y are
+B-orthogonal to y, a stage tangent theta has m = B(theta, theta) = kappa phi^2,
+and with (C, S) = (cos, sin) or (cosh, sinh) every map is O(n):
+
+    Exp_y(theta)      = C(phi) y + S(phi)/phi theta
+    midpoint s        = Exp_y(theta/2)
+    transport back    w -> w - 2 B(s, w) s
+    dExp^{-1}_theta   w -> w + (phi/S(phi) - 1) (w - B(theta, w)/m theta)
+    [u, v, w]         = B(u, w) v - B(v, w) u
+
+`CurvedSpace.stage` takes the one square m per stage and returns (phi, data)
+with data = (m, phi), which the stepper hands back to `exp`, `pullback` and
+`dexpinv`. The Exp-time guards raise NonSpacelikeTangent for a tangent whose
+m has the wrong sign beyond round-off (possible only when B is indefinite),
+and StepTooLarge for phi above `exp_limit`.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .core import Chart, SpaceContract, require_ndarray
+from .errors import NonSpacelikeTangent, NotOnManifold, NumericalFailure, StepTooLarge
+
+PHI_SMALL = 1e-4
+
+
+class CurvedSpace(SpaceContract):
+    """The level set B(y, y) = 1 of curvature kappa, for the stepper.
+
+    `form(u, v)` is B as a Python float and (c, s) are (C, S).
+    `stage_limit` caps stages in the stepper (the sphere's conjugate point);
+    `exp_limit` caps phi in every Exp (the hyperboloid's coordinates grow
+    like e^phi, and its residual would drown in round-off).
+    """
+
+    has_closed_dexpinv = True
+
+    def __init__(self, form, kappa, c, s, *, stage_limit=math.inf, exp_limit=math.inf):
+        self.form = form
+        self.kappa = kappa
+        self.c = c
+        self.s = s
+        self.stage_limit = stage_limit
+        self.exp_limit = exp_limit
+
+    def chart(self, y) -> "CurvedChart":
+        return CurvedChart(self, y)
+
+    def stage(self, theta):
+        """(phi, (m, phi)) of a stage tangent, from its one square m."""
+        m = self.form(theta, theta)
+        phi = math.sqrt(max(self.kappa * m, 0.0))
+        return phi, (m, phi)
+
+    def exp(self, base, theta, data, t: float = 1.0):
+        """Exp_base(t theta) for t = 1 or 1/2, after the Exp-time guards."""
+        m, phi = data
+        km = self.kappa * m
+        # The Euclidean scale theta.theta only matters when km < 0.
+        if km < 0.0 and km < -1e-12 * float(theta @ theta):
+            raise NonSpacelikeTangent(f"tangent is not spacelike: <theta, theta> = {m:.3e}")
+        if phi > self.exp_limit:
+            raise StepTooLarge(f"stage norm {phi:.3f} > {self.exp_limit}")
+        if phi == 0.0:
+            return base
+        tphi = t * phi
+        if tphi < PHI_SMALL:
+            p2 = tphi * tphi
+            s_over_phi = 1.0 - self.kappa * p2 / 6.0 + p2 * p2 / 120.0
+        else:
+            s_over_phi = self.s(tphi) / tphi
+        return (s_over_phi * t) * theta + self.c(tphi) * base
+
+    def transport(self, mid, w):
+        """Parallel transport of w back to the base: reflection at the midpoint."""
+        return w - (2.0 * self.form(mid, w)) * mid
+
+    def dexpinv(self, theta, data, w):
+        """Inverse differential of Exp: phi/S(phi) on the part B-normal to theta."""
+        m, phi = data
+        if phi == 0.0:
+            return w
+        if phi < PHI_SMALL:
+            p2 = phi * phi
+            phi_over_s = 1.0 + self.kappa * p2 / 6.0 + 7.0 * p2 * p2 / 360.0
+        else:
+            phi_over_s = phi / self.s(phi)
+        return w + (phi_over_s - 1.0) * (w - (self.form(theta, w) / m) * theta)
+
+    def triple(self, u, v, w):
+        """Triple bracket [u, v, w] = B(u, w) v - B(v, w) u."""
+        return self.form(u, w) * v - self.form(v, w) * u
+
+    def scale(self, y) -> float:
+        # Round-off in B(y, y) grows with the coordinates (like e^(2 phi) on
+        # the hyperboloid), so residuals are measured against y.y.
+        return float(y @ y)
+
+    def check_point(self, y) -> None:
+        require_ndarray(y, 1)
+        if self.kappa < 0.0 and not y[-1] > 0.0:
+            raise NotOnManifold(f"point is not on the upper sheet: y_t = {y[-1]:.3e}")
+        residual = self.invariant_residual(y)
+        if not self.within_tolerance(y, residual):
+            raise NotOnManifold(f"point is off the level set: B(y, y) - 1 = {residual:.3e}")
+
+    def invariant_residual(self, y) -> float:
+        return abs(self.form(y, y) - 1.0)
+
+    def renormalize(self, y):
+        m = self.form(y, y)
+        if not 0.0 < m < math.inf:
+            raise NumericalFailure(f"cannot renormalize a point with B(y, y) = {m:.3e}")
+        return y / math.sqrt(m)
+
+
+class CurvedChart(Chart):
+    """Chart at a point of a CurvedSpace: stage tangents are ambient vectors there."""
+
+    def __init__(self, space: CurvedSpace, base):
+        self.space = space
+        self.base = base
+        self.stage_limit = space.stage_limit
+
+    def stage(self, theta):
+        return self.space.stage(theta)
+
+    def exp(self, theta, data):
+        return self.space.exp(self.base, theta, data)
+
+    def at_base(self, value):
+        return value
+
+    def pullback(self, theta, data, value):
+        space = self.space
+        return space.transport(space.exp(self.base, theta, data, 0.5), value)
+
+    def dexpinv(self, theta, data, w):
+        return self.space.dexpinv(theta, data, w)
+
+    def ad2(self, theta, w):
+        return self.space.triple(w, theta, theta)
+
+    def field_value(self, point, value, diagnostics: bool):
+        if not diagnostics:
+            return value, 0.0
+        tangent = value - self.space.form(value, point) * point
+        return tangent, float(np.max(np.abs(value - tangent)))

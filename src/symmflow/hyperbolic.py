@@ -7,17 +7,18 @@ orthogonal to y and spacelike, so phi = sqrt(-<v, v>) is real and
 
     exp_point(y, v) = sinh(phi)/phi * v + cosh(phi) * y.
 
-Unlike the sphere there is no conjugate-point singularity: the inverse
-differential of the exponential *contracts* the normal component by
-phi/sinh(phi) <= 1. Steps are still capped at phi = 30 because the ambient
-coordinates grow like e^phi and the hyperboloid residual would drown in
+This is the kappa = -1 case of `curved.CurvedSpace`, with B the Minkowski
+form and (C, S) = (cosh, sinh). Unlike the sphere there is no
+conjugate-point singularity: the inverse differential of the exponential
+*contracts* the normal component by phi/sinh(phi) <= 1. Every Exp, the
+midpoint Exp(v/2) included, still rejects a tangent v of rapidity phi > 30,
+because the ambient coordinates grow like e^phi and the hyperboloid
+residual would drown in round-off, and a v that is timelike beyond
 round-off.
 
 Every per-stage quantity derives from the one Minkowski square
-m = <theta, theta>: the stage norm phi = sqrt(max(-m, 0)), Exp, the geodesic
-midpoint Exp(theta/2) and dExp^{-1}. The public functions each take it
-themselves; `HyperboloidChart` takes it once per stage and hands it to the
-same formulas (`_exp_point`, `_exp_half`, `_dexpinv`), so both routes give
+m = <theta, theta>, which `HYPERBOLOID.stage` takes; the functions below
+take it themselves and run the same formulas, so both routes give
 identical bits.
 """
 
@@ -27,12 +28,16 @@ import math
 
 import numpy as np
 
-from .core import RENORM_THRESHOLD, Chart, SpaceContract, require_ndarray
-from .errors import NonSpacelikeTangent, NotOnManifold, NumericalFailure, StepTooLarge
+from .curved import PHI_SMALL, CurvedSpace
 from .linalg import minkowski, minkowski_metric, spd_sqrt
 
-PHI_SMALL = 1e-4
 MAX_STAGE_RAPIDITY = 30.0
+
+# `minkowski` is looked up at call time, so patching the module attribute
+# reaches the stepper.
+HYPERBOLOID = CurvedSpace(
+    lambda u, v: minkowski(u, v), -1.0, math.cosh, math.sinh, exp_limit=MAX_STAGE_RAPIDITY
+)
 
 
 def base_point(n: int) -> np.ndarray:
@@ -42,86 +47,29 @@ def base_point(n: int) -> np.ndarray:
     return o
 
 
-def _sinh_over_phi(phi: float) -> float:
-    if phi < PHI_SMALL:
-        p2 = phi * phi
-        return 1.0 + p2 / 6.0 + p2 * p2 / 120.0
-    return math.sinh(phi) / phi
-
-
-def _phi_over_sinh(phi: float) -> float:
-    if phi < PHI_SMALL:
-        p2 = phi * phi
-        return 1.0 - p2 / 6.0 + 7.0 * p2 * p2 / 360.0
-    return phi / math.sinh(phi)
-
-
-def _check_rapidity(v, m: float, phi: float) -> None:
-    """Guards on a stage tangent v with m = <v, v> and phi = sqrt(max(-m, 0)):
-    the sign of m (spacelike up to round-off) and the rapidity cap."""
-    # The Euclidean scale v.v only matters when m > 0.
-    if m > 0.0 and -m < -1e-12 * float(v @ v):
-        raise NonSpacelikeTangent(f"tangent has Minkowski square norm {m:.3e} > 0")
-    if phi > MAX_STAGE_RAPIDITY:
-        raise StepTooLarge(f"stage rapidity {phi:.3f} > {MAX_STAGE_RAPIDITY}")
-
-
-def _rapidity(v) -> float:
-    """phi = sqrt(-<v, v>) of a spacelike tangent, guarded by `_check_rapidity`."""
-    m = minkowski(v, v)
-    phi = math.sqrt(max(-m, 0.0))
-    _check_rapidity(v, m, phi)
-    return phi
-
-
 def exp_point(base, v):
     """Geodesic exponential along the hyperbola of v, arc length sqrt(-<v,v>)."""
-    return _exp_point(base, v, _rapidity(v))
-
-
-def _exp_point(base, v, phi: float):
-    """`exp_point` given the checked rapidity phi of v."""
-    if phi == 0.0:
-        return base
-    return _sinh_over_phi(phi) * v + math.cosh(phi) * base
+    return HYPERBOLOID.exp(base, v, HYPERBOLOID.stage(v)[1])
 
 
 def exp_half(base, v):
     """Geodesic midpoint Exp(v/2) = sinh(phi/2)/phi * v + cosh(phi/2) * base."""
-    return _exp_half(base, v, _rapidity(v))
-
-
-def _exp_half(base, v, phi: float):
-    """`exp_half` given the checked rapidity phi of v."""
-    if phi == 0.0:
-        return base
-    half = 0.5 * phi
-    return (_sinh_over_phi(half) * 0.5) * v + math.cosh(half) * base
+    return HYPERBOLOID.exp(base, v, HYPERBOLOID.stage(v)[1], 0.5)
 
 
 def transport_inv(mid, w):
     """Parallel transport of w back to the base: w - 2 s <s, w> at s = mid."""
-    return w - (2.0 * minkowski(mid, w)) * mid
+    return HYPERBOLOID.transport(mid, w)
 
 
 def dexpinv(theta, w):
     """Inverse differential of the exponential; contracts, never singular."""
-    return _dexpinv(theta, w, -minkowski(theta, theta))
-
-
-def _dexpinv(theta, w, phi2: float):
-    """`dexpinv` given phi2 = -<theta, theta>."""
-    if phi2 <= 0.0:
-        return w
-    phi = math.sqrt(phi2)
-    factor = _phi_over_sinh(phi) - 1.0
-    # Minkowski projection normal to theta: w + <theta, w> theta / phi^2.
-    return w + factor * (w + (minkowski(theta, w) / phi2) * theta)
+    return HYPERBOLOID.dexpinv(theta, HYPERBOLOID.stage(theta)[1], w)
 
 
 def triple(u, v, w):
     """Triple bracket [u, v, w] = <u, w> v - <v, w> u (Minkowski products)."""
-    return minkowski(u, w) * v - minkowski(v, w) * u
+    return HYPERBOLOID.triple(u, v, w)
 
 
 def sigma(s) -> np.ndarray:
@@ -177,90 +125,3 @@ def random_tangent(rng, base, scale: float = 1.0):
     phi = math.sqrt(-minkowski(w, w))
     return (scale / phi) * w
 
-
-class HyperboloidChart(Chart):
-    """Chart at a hyperboloid point: stage tangents are ambient vectors there.
-
-    Each stage takes one Minkowski square. The chart keeps the last stage
-    tangent it was handed, with m = <theta, theta> and phi = sqrt(max(-m, 0)),
-    in a single slot keyed on the identity of the theta object, as the
-    stepper passes one object to `norm`, `exp`, `pullback` and `dexpinv` of
-    a stage. The sign guard and the rapidity cap of `exp_point` and
-    `exp_half` run once per slot, on the first `exp` or `pullback`. Stage
-    tangents must not be mutated in place.
-    """
-
-    def __init__(self, base):
-        self.base = base
-        self._theta = None
-        self._m = self._phi = 0.0
-        self._checked = False
-
-    def _stage(self, theta):
-        """(m, phi) of theta, from the slot when theta is the object it holds."""
-        if theta is not self._theta:
-            m = minkowski(theta, theta)
-            self._theta, self._m, self._phi = theta, m, math.sqrt(max(-m, 0.0))
-            self._checked = False
-        return self._m, self._phi
-
-    def _rapidity(self, theta) -> float:
-        m, phi = self._stage(theta)
-        if not self._checked:
-            _check_rapidity(theta, m, phi)
-            self._checked = True
-        return phi
-
-    def norm(self, theta) -> float:
-        return self._stage(theta)[1]
-
-    def exp(self, theta):
-        return _exp_point(self.base, theta, self._rapidity(theta))
-
-    def at_base(self, value):
-        return value
-
-    def pullback(self, theta, endpoint, value):
-        return transport_inv(_exp_half(self.base, theta, self._rapidity(theta)), value)
-
-    def dexpinv(self, theta, w):
-        return _dexpinv(theta, w, -self._stage(theta)[0])
-
-    def ad2(self, theta, w):
-        return triple(w, theta, theta)
-
-    def field_value(self, point, value, diagnostics: bool):
-        if not diagnostics:
-            return value, 0.0
-        tangent = value - minkowski(value, point) * point
-        return tangent, float(np.max(np.abs(value - tangent)))
-
-
-class HyperbolicSpace(SpaceContract):
-    """The hyperboloid for the stepper: a chart at every step's base point."""
-
-    has_closed_dexpinv = True
-
-    def chart(self, y) -> HyperboloidChart:
-        return HyperboloidChart(y)
-
-    def check_point(self, y) -> None:
-        require_ndarray(y, 1)
-        if not y[-1] > 0.0:
-            raise NotOnManifold(f"point is not on the upper sheet: y_t = {y[-1]:.3e}")
-        # The round-off in <y, y> grows with the coordinates, like e^(2 phi).
-        residual = self.invariant_residual(y)
-        if not residual <= RENORM_THRESHOLD * float(y @ y):
-            raise NotOnManifold(f"point is off the hyperboloid: <y, y> - 1 = {residual:.3e}")
-
-    def invariant_residual(self, y) -> float:
-        return abs(minkowski(y, y) - 1.0)
-
-    def renormalize(self, y):
-        m = minkowski(y, y)
-        if not 0.0 < m < math.inf:
-            raise NumericalFailure(f"cannot renormalize a point with <y, y> = {m:.3e}")
-        return y / math.sqrt(m)
-
-
-HYPERBOLOID = HyperbolicSpace()

@@ -23,6 +23,8 @@ from .errors import DimensionMismatch, NonPositiveDefinite, NumericalFailure
 # the order-_EXP_TERMS Taylor remainder is far under one ulp.
 _EXP_TERMS = 14
 _EXP_THETA = 0.25
+# An SPD matrix's smallest eigenvalue must exceed this times its max-norm.
+_PD_EPS = 1e-13
 
 
 def _as_square(a) -> np.ndarray:
@@ -77,33 +79,29 @@ def mat_exp(a) -> np.ndarray:
     return result
 
 
-def spd_sqrt(a, eps_pd: float | None = None) -> np.ndarray:
-    """Unique SPD square root of an SPD matrix, via eigendecomposition.
+def require_positive_definite(w, a) -> None:
+    """NonPositiveDefinite unless the smallest eigenvalue w[0] of the symmetric
+    matrix `a` exceeds _PD_EPS times its max-norm."""
+    floor = _PD_EPS * float(np.max(np.abs(a)))
+    if w[0] <= floor:
+        raise NonPositiveDefinite(
+            f"matrix is not positive definite: min eigenvalue {w[0]:.3e} not above {floor:.3e}"
+        )
 
-    Raises NonPositiveDefinite when the smallest eigenvalue is at or below
-    eps_pd (default 1e-13 times the max-norm of `a`).
-    """
+
+def spd_sqrt(a) -> np.ndarray:
+    """Unique SPD square root of an SPD matrix, via eigendecomposition."""
     a = _as_square(a)
     w, v = sym_eig(a)
-    if eps_pd is None:
-        eps_pd = 1e-13 * float(np.max(np.abs(a)))
-    if w[0] <= eps_pd:
-        raise NonPositiveDefinite(
-            f"min eigenvalue {w[0]:.3e} not above threshold {eps_pd:.3e}"
-        )
+    require_positive_definite(w, a)
     return symmetrize((v * np.sqrt(w)) @ v.T)
 
 
-def spd_inv(a, eps_pd: float | None = None) -> np.ndarray:
+def spd_inv(a) -> np.ndarray:
     """Inverse of an SPD matrix through the same eigendecomposition path."""
     a = _as_square(a)
     w, v = sym_eig(a)
-    if eps_pd is None:
-        eps_pd = 1e-13 * float(np.max(np.abs(a)))
-    if w[0] <= eps_pd:
-        raise NonPositiveDefinite(
-            f"min eigenvalue {w[0]:.3e} not above threshold {eps_pd:.3e}"
-        )
+    require_positive_definite(w, a)
     return symmetrize((v / w) @ v.T)
 
 

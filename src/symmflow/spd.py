@@ -10,22 +10,22 @@ y -> s y s with s = sqrt(y_l), computed once per step:
     Kt_i = K_i + c_1 x K_i + c_2 x^2 K_i + ...,   x = (1/4)[[., theta_i], theta_i]
     y_next = s exp(sum_j b_j Kt_j) s
 
-Every theta_i is symmetric, so one eigendecomposition theta_i = V diag(w) V^T
-gives both exp(theta_i) and exp(-theta_i/2), as one of y_l gives s and s^{-1}.
-All products of symmetric factors are re-symmetrized to suppress round-off
-drift, so SPD-ness of the output is structural.
+Every theta_i is symmetric, so one eigendecomposition theta_i = V diag(w) V^T,
+the chart's stage data, gives both exp(theta_i) and exp(-theta_i/2), as one
+of y_l gives s and s^{-1}. A zero stage needs neither, and the Exp of a zero
+update is y_l itself. All products of symmetric factors are re-symmetrized
+to suppress round-off drift, so SPD-ness of the output is structural.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core import RENORM_THRESHOLD, Chart, SpaceContract, require_ndarray
+from .core import Chart, SpaceContract, require_ndarray
 from .errors import DimensionMismatch, NonPositiveDefinite, NotOnManifold, SymmetryViolation
-from .linalg import sym_eig, symmetrize
-
-# A base point's smallest eigenvalue must exceed this times its max-norm.
-_PD_EPS = 1e-13
+from .linalg import require_positive_definite, sym_eig, symmetrize
 
 
 def quadratic(s, y) -> np.ndarray:
@@ -52,8 +52,7 @@ def ad2(theta, w) -> np.ndarray:
 def sqrt_pair(y):
     """(sqrt(y), sqrt(y)^{-1}) from a single eigendecomposition."""
     w, v = sym_eig(y)
-    if w[0] <= _PD_EPS * float(np.max(np.abs(y))):
-        raise NonPositiveDefinite(f"matrix is not positive definite (min eig {w[0]:.3e})")
+    require_positive_definite(w, y)
     root = np.sqrt(w)
     return symmetrize((v * root) @ v.T), symmetrize((v / root) @ v.T)
 
@@ -81,32 +80,31 @@ class SpdChart(Chart):
 
     Points and field values move between y and I through s = sqrt(y), taken
     once when the chart is built; a non-SPD y raises NonPositiveDefinite.
-    exp(theta) and exp(-theta/2) come from one eigendecomposition of the
-    symmetric theta: `exp` keeps (theta, w, V) of its last call, and
-    `pullback` reuses them when handed that same theta object, as the
-    stepper does for each stage.
+    The stage data of a non-zero theta is its eigendecomposition (w, V),
+    which gives both exp(theta) and exp(-theta/2); a zero stage takes none,
+    and its Exp is y itself.
     """
 
     def __init__(self, y):
+        self.base = y
         self.s, self.s_inv = sqrt_pair(y)
-        self._eig = (None, None, None)
 
-    def norm(self, theta) -> float:
-        return float(np.linalg.norm(theta))
+    def stage(self, theta):
+        phi = float(np.linalg.norm(theta))
+        return phi, (sym_eig(theta) if 0.0 < phi < math.inf else None)
 
-    def exp(self, theta):
-        w, v = sym_eig(theta)
-        self._eig = (theta, w, v)
+    def exp(self, theta, data):
+        if data is None:
+            return self.base
+        w, v = data
         sv = self.s @ v
         return symmetrize((sv * np.exp(w)) @ sv.T)
 
     def at_base(self, value):
         return symmetrize(self.s_inv @ value @ self.s_inv)
 
-    def pullback(self, theta, endpoint, value):
-        cached, w, v = self._eig
-        if cached is not theta:
-            w, v = sym_eig(theta)
+    def pullback(self, theta, data, value):
+        w, v = data
         half = (v * np.exp(-0.5 * w)) @ v.T
         return symmetrize(half @ (self.s_inv @ value @ self.s_inv) @ half)
 
@@ -130,13 +128,16 @@ class SpdSpace(SpaceContract):
         require_ndarray(y, 2)
         if not np.all(np.isfinite(y)):
             raise NotOnManifold("matrix has non-finite entries")
-        scale = float(np.max(np.abs(y)))
         skew = self.invariant_residual(y)
-        if skew > RENORM_THRESHOLD * scale:
+        if not self.within_tolerance(y, skew):
             raise NotOnManifold(f"matrix is not symmetric: max |y - y^T| = {skew:.3e}")
-        low = float(np.linalg.eigvalsh(y)[0])
-        if low <= _PD_EPS * scale:
-            raise NotOnManifold(f"matrix is not positive definite (min eig {low:.3e})")
+        try:
+            require_positive_definite(np.linalg.eigvalsh(y), y)
+        except NonPositiveDefinite as err:
+            raise NotOnManifold(str(err)) from err
+
+    def scale(self, y) -> float:
+        return float(np.max(np.abs(y)))
 
     def invariant_residual(self, y) -> float:
         return float(np.max(np.abs(y - y.T)))

@@ -320,21 +320,27 @@ def test_initial_point_not_an_array_rejected(geometry):
 
 
 ON_MANIFOLD_FAR_OUT = {
-    "sphere": lambda rng: sphere.random_point(rng, 6),
-    # rapidity 6: <y, y> - 1 carries round-off of order e^12 ulps
-    "hyperbolic": lambda rng: hyperbolic.random_point(rng, 6, scale=6.0),
-    "spd": lambda rng: 1e6 * spd.random_spd(rng, 6),
+    "sphere": [lambda rng: sphere.random_point(rng, 6)],
+    # At rapidity s, <y, y> - 1 carries round-off of order e^(2s) ulps: 1.5e-8
+    # at s = 6, and at s = 20 <y, y> cancels to 0. Only a residual test
+    # relative to y.y keeps such a point, and a zero field, where it is.
+    "hyperbolic": [
+        lambda rng, s=s: hyperbolic.random_point(rng, 6, scale=s) for s in (6.0, 15.0, 20.0)
+    ],
+    "spd": [lambda rng: 1e6 * spd.random_spd(rng, 6)],
 }
 
 
 @pytest.mark.parametrize("geometry", sorted(_ON_MANIFOLD))
 def test_initial_point_on_manifold_accepted(geometry):
     space = _ON_MANIFOLD[geometry][0]
-    for y0 in (_ON_MANIFOLD[geometry][1], ON_MANIFOLD_FAR_OUT[geometry](np.random.default_rng(3))):
-        trajectory, _ = integrate(
+    far_out = [draw(np.random.default_rng(3)) for draw in ON_MANIFOLD_FAR_OUT[geometry]]
+    for y0 in [_ON_MANIFOLD[geometry][1], *far_out]:
+        trajectory, records = integrate(
             space, builtin_tableau("rk4"), lambda p: np.zeros_like(p), y0, 0.01, 2
         )
-        assert trajectory[0] is y0
+        assert all(point is y0 for point in trajectory)
+        assert not any(record.renormalized for record in records)
 
 
 class TestLtsAxioms:

@@ -1,0 +1,111 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from symmflow import hyperbolic, sphere
+from symmflow.checks import ambient_step, dexp_forward_hyperbolic, dexp_forward_sphere
+from symmflow.core import cssi_step
+from symmflow.curved import PHI_SMALL
+from symmflow.errors import NonSpacelikeTangent, StepTooLarge
+from symmflow.linalg import minkowski
+from symmflow.tableau import builtin_tableau
+
+# Per space: the space, the module of its public functions, a random base
+# point at a given distance from the reference point, the public midpoint
+# Exp(theta/2), the square B(theta, theta), the cap on phi and the forward
+# differential of Exp written out with math.sin / math.sinh.
+SPACES = {
+    "sphere": (
+        sphere.SPHERE,
+        sphere,
+        lambda rng, n, _: sphere.random_point(rng, n),
+        lambda base, t: sphere.exp_point(base, 0.5 * t),
+        lambda t: float(t @ t),
+        sphere.MAX_STAGE_ANGLE,
+        dexp_forward_sphere,
+    ),
+    "hyperboloid": (
+        hyperbolic.HYPERBOLOID,
+        hyperbolic,
+        lambda rng, n, r: hyperbolic.random_point(rng, n, scale=r),
+        hyperbolic.exp_half,
+        lambda t: minkowski(t, t),
+        hyperbolic.MAX_STAGE_RAPIDITY,
+        dexp_forward_hyperbolic,
+    ),
+}
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the guard error it raises."""
+    try:
+        return fn(*args)
+    except (NonSpacelikeTangent, StepTooLarge) as err:
+        return type(err)
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    fraction=st.one_of(st.floats(0.0, 1.01), st.floats(0.0, PHI_SMALL / 30.0)),
+    base_distance=st.floats(0.0, 3.0),
+)
+@example(seed=0, n=2, fraction=1.0, base_distance=0.0)
+@example(seed=0, n=2, fraction=1.01, base_distance=1.0)
+@example(seed=1, n=3, fraction=3e-6, base_distance=0.5)
+def test_chart_matches_public_functions(name, seed, n, fraction, base_distance):
+    # phi runs up to just past the space's cap (pi - 1e-6 or rapidity 30) and
+    # below PHI_SMALL, where the small-angle series take over.
+    space, module, draw_point, public_half, square, cap, forward = SPACES[name]
+    rng = np.random.default_rng(seed)
+    base = draw_point(rng, n, base_distance)
+    theta = module.random_tangent(rng, base, scale=fraction * cap)
+    value, w = (module.random_tangent(rng, base) for _ in range(2))
+
+    chart = space.chart(base)
+    phi, data = chart.stage(theta)
+    assert phi == math.sqrt(abs(square(theta)))
+
+    assert _same(_outcome(chart.exp, theta, data), _outcome(module.exp_point, base, theta))
+    assert _same(
+        _outcome(chart.pullback, theta, data, value),
+        _outcome(lambda: module.transport_inv(public_half(base, theta), value)),
+    )
+    # The stepper stops a stage at chart.stage_limit before dExp^{-1}; the
+    # public dexpinv raises the same error at the same stages.
+    public = _outcome(module.dexpinv, theta, w)
+    if phi < chart.stage_limit:
+        assert _same(chart.dexpinv(theta, data, w), public)
+    else:
+        assert public is StepTooLarge
+    if phi < 1.0:
+        # dExp^{-1} undoes the forward differential, series branch included.
+        roundtrip = chart.dexpinv(theta, data, forward(theta, w))
+        assert np.max(np.abs(roundtrip - w)) <= 1e-13 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sphere_step_matches_ambient_step(n):
+    # y' = A y + (b - (b.y) y): a rotation plus a pull towards b, tangent to S^n.
+    rng = np.random.default_rng(100 + n)
+    a = rng.standard_normal((n + 1, n + 1))
+    a = a - a.T
+    b = rng.standard_normal(n + 1)
+    field = lambda y: a @ y + (b - float(b @ y) * y)
+    t = builtin_tableau("rk4")
+    y = sphere.random_point(rng, n)
+    for _ in range(10):
+        via_chart, _ = cssi_step(sphere.SPHERE, t, field, y, 0.05)
+        via_ambient = ambient_step("sphere", t, field, y, 0.05)
+        assert np.max(np.abs(via_chart - via_ambient)) <= 1e-13
+        y = via_chart

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from symmflow.errors import DimensionMismatch, NonPositiveDefinite, NumericalFailure
+from symmflow.errors import DimensionMismatch, NonPositiveDefinite, NotOnManifold, NumericalFailure
 from symmflow.linalg import (
     mat_exp,
     minkowski,
@@ -13,6 +13,7 @@ from symmflow.linalg import (
     sym_eig,
     symmetrize,
 )
+from symmflow.spd import SPD, sqrt_pair
 
 
 class TestSymEig:
@@ -120,6 +121,20 @@ class TestSpdSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(NonPositiveDefinite):
             spd_sqrt(np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_one_positive_definiteness_floor(self, scale):
+        # The smallest eigenvalue must exceed 1e-13 * max|a| for the square
+        # root, the inverse, a chart's sqrt_pair and integrate's y0 check.
+        low = np.diag([scale, 0.5e-13 * scale])
+        high = np.diag([scale, 2e-13 * scale])
+        for fn in (spd_sqrt, spd_inv, sqrt_pair):
+            with pytest.raises(NonPositiveDefinite):
+                fn(low)
+            fn(high)
+        with pytest.raises(NotOnManifold):
+            SPD.check_point(low)
+        SPD.check_point(high)
 
     def test_inverse(self):
         rng = np.random.default_rng(5)
