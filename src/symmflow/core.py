@@ -8,17 +8,22 @@ A step from y solves the stage equations
     y_next  = Exp_y(sum_j b_j Kt_j)
 
 in a chart at the current point y (the base point moves to y every step).
-`space.chart(y)` computes the per-step base data once and supplies Exp_y,
-the pullback of a field value to chart coordinates at the base (Gamma^{-1}
-is parallel transport back along the stage geodesic, realized through the
-geodesic midpoint), and dExp^{-1}, the inverse trivialized differential of
-Exp. The latter is the scalar series
+`space.chart(y)` computes the per-step base data once and supplies Exp_y and
+the stage tangent dExp^{-1}_theta Gamma_theta^{-1} of a field value: the
+pullback to chart coordinates at the base (Gamma^{-1} is parallel transport
+back along the stage geodesic, realized through the geodesic midpoint),
+followed by dExp^{-1}, the inverse trivialized differential of Exp. The
+latter is the scalar series
 
     sqrt(x)/sinh(sqrt(x)) = 1 - x/6 + 7x^2/360 - 31x^3/15120 + ...
 
 evaluated at x = ad^2_theta : w -> [w, theta, theta], the double bracket of
-the tangent-space Lie triple system. Geometries with a closed form
-(constant-curvature spaces) bypass the series.
+the tangent-space Lie triple system. Each chart evaluates it on the spectrum
+of ad^2_theta, which it knows in closed form: the constant-curvature spaces
+have the single non-zero eigenvalue -B(theta, theta), SPD the values
+(l_i - l_j)^2 / 4 over pairs of eigenvalues of theta. The former also sum
+the series in closed form. A geometry without such a spectrum can apply
+`dexpinv_series_apply` over its double bracket instead.
 
 Explicit tableaus are solved stage by stage; implicit ones by fixed-point
 iteration on the stage tangents, stopping once the max stage change is at
@@ -29,6 +34,7 @@ update tangent, or a non-finite point, raises NumericalFailure.
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +53,9 @@ from .errors import (
 from .tableau import ButcherTableau
 
 RENORM_THRESHOLD = 1e-12
+# dtype kinds a field value may have: signed and unsigned integers and floats.
+# Booleans are refused too: SPD's symmetry check cannot subtract them.
+_REAL_KINDS = "iuf"
 _FP_TOL = 1e-14
 _FP_CAP = 50
 
@@ -57,9 +66,9 @@ class Chart(ABC):
     Stage tangents are chart coordinates at the base: ambient tangent vectors
     at y on the sphere and hyperboloid, symmetric matrices at the identity on
     SPD. `stage(theta)` returns (phi, data); the stepper hands data back with
-    the same theta to `exp`, `pullback` and `dexpinv`, so whatever a stage
-    needs more than once (a square, an eigendecomposition) is taken once.
-    Every method treats its arguments as immutable.
+    the same theta to `exp` and `tangent`, so whatever a stage needs more
+    than once (a square, an eigendecomposition) is taken once. Every method
+    treats its arguments as immutable.
     """
 
     #: stages whose magnitude reaches this raise StepTooLarge
@@ -78,16 +87,17 @@ class Chart(ABC):
         """Chart coordinates of a field value at the base point itself."""
 
     @abstractmethod
-    def pullback(self, theta, data, value):
-        """Chart coordinates of a field value at exp(theta, data), for phi > 0."""
+    def tangent(self, theta, data, value, coefficients):
+        """The stage tangent dExp^{-1}_theta Gamma_theta^{-1}(value), for phi > 0.
 
-    @abstractmethod
-    def ad2(self, theta, w):
-        """Double bracket w -> [w, theta, theta] feeding the dExp^{-1} series."""
-
-    def dexpinv(self, theta, data, w):
-        """Closed-form dExp^{-1}_theta w, for spaces with `has_closed_dexpinv`."""
-        raise NotImplementedError
+        `value` is a field value at exp(theta, data). With `coefficients`
+        c_1..c_N, dExp^{-1} is the truncated series 1 + sum c_n x^n at
+        x = ad^2_theta, which a chart evaluates on the spectrum of
+        ad^2_theta where it knows it (`dexpinv_series_tail`), or else
+        through `dexpinv_series_apply` over its double bracket. With None
+        it is exact, which only spaces with `has_closed_dexpinv` are asked
+        for.
+        """
 
     @abstractmethod
     def field_value(self, point, value, diagnostics: bool):
@@ -187,6 +197,18 @@ class DexpinvSeries:
         return cls.with_terms(max(0, math.ceil((order - 1) / 2)))
 
 
+def dexpinv_series_tail(coefficients, x):
+    """sum_n c_n x^n, the series less its leading 1, by Horner's rule.
+
+    x is a number or an array of eigenvalues of ad^2_theta, for the charts
+    that apply the series on that spectrum.
+    """
+    tail = 0.0
+    for c in reversed(coefficients):
+        tail = (tail + c) * x
+    return tail
+
+
 def dexpinv_series_apply(series: DexpinvSeries, ad2, w):
     """Apply w + sum_n c_n ad2^n(w) for a linear map ad2 on the tangent space."""
     out = w
@@ -210,12 +232,19 @@ class StepRecord:
     tangency_defect: float = 0.0
 
 
-def _resolve_series(space: SpaceContract, tableau: ButcherTableau, dexpinv_terms):
+def _resolve_coefficients(space: SpaceContract, tableau: ButcherTableau, dexpinv_terms):
+    """The series coefficients a step hands to `Chart.tangent` (None: closed form)."""
     if dexpinv_terms is None:
         if space.has_closed_dexpinv:
             return None
-        return DexpinvSeries.for_order(tableau.declared_order)
-    return DexpinvSeries.with_terms(int(dexpinv_terms))
+        return DexpinvSeries.for_order(tableau.declared_order).coefficients
+    try:
+        terms = operator.index(dexpinv_terms)
+    except TypeError:
+        raise TypeError(f"dexpinv_terms must be an integer or None: {dexpinv_terms!r}") from None
+    if terms < 0:
+        raise ValueError(f"dexpinv_terms must be >= 0: {terms}")
+    return dexpinv_coefficients(terms)
 
 
 def _bad_stage(phi: float, limit: float) -> SymmflowError:
@@ -243,7 +272,7 @@ def cssi_step(
     """
     # Python floats: cheaper to test and scale by than numpy scalars.
     a, b, r = tableau.a.tolist(), tableau.b.tolist(), tableau.stages
-    series = _resolve_series(space, tableau, dexpinv_terms)
+    coefficients = _resolve_coefficients(space, tableau, dexpinv_terms)
     chart = space.chart(y)
     stage_norms = [0.0] * r
     defect = 0.0
@@ -251,9 +280,19 @@ def cssi_step(
     def eval_field(p):
         nonlocal defect
         value = field(p)
-        if not isinstance(value, np.ndarray) or value.shape != p.shape:
-            got = getattr(value, "shape", type(value).__name__)
-            raise DimensionMismatch(f"field value must be an ndarray of shape {p.shape}: {got}")
+        if not (
+            isinstance(value, np.ndarray)
+            and value.shape == p.shape
+            and value.dtype.kind in _REAL_KINDS
+        ):
+            got = (
+                f"{value.dtype} of shape {value.shape}"
+                if isinstance(value, np.ndarray)
+                else type(value).__name__
+            )
+            raise DimensionMismatch(
+                f"field value must be a real ndarray of shape {p.shape}: got {got}"
+            )
         v, d = chart.field_value(p, value, diagnostics)
         if d > defect:
             defect = d
@@ -266,17 +305,15 @@ def cssi_step(
             raise _bad_stage(phi, chart.stage_limit)
         if phi == 0.0:
             return chart.at_base(h * eval_field(y))
-        k = chart.pullback(theta, data, h * eval_field(chart.exp(theta, data)))
-        if series is None:
-            return chart.dexpinv(theta, data, k)
-        return dexpinv_series_apply(series, lambda w: chart.ad2(theta, w), k)
+        value = h * eval_field(chart.exp(theta, data))
+        return chart.tangent(theta, data, value, coefficients)
 
     def combine(row, ktil):
-        theta = np.zeros_like(y)
+        theta = None
         for coef, kt in zip(row, ktil):
             if coef != 0.0:
-                theta = theta + coef * kt
-        return theta
+                theta = coef * kt if theta is None else theta + coef * kt
+        return np.zeros_like(y) if theta is None else theta
 
     fp_iterations = 0
     if tableau.is_explicit:
@@ -362,8 +399,11 @@ def integrate(
     """March n_steps of cssi_step from y0; see `march` for the loop contract.
 
     y0 must lie on the manifold: `space.check_point` raises NotOnManifold
-    (or DimensionMismatch) before the first step otherwise.
+    (or DimensionMismatch) before the first step otherwise. A `dexpinv_terms`
+    that is neither None nor a non-negative integer raises TypeError or
+    ValueError, also before the first step.
     """
+    _resolve_coefficients(space, tableau, dexpinv_terms)  # validates dexpinv_terms
     space.check_point(y0)
 
     def step(y):

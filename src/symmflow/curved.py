@@ -13,10 +13,13 @@ and with (C, S) = (cos, sin) or (cosh, sinh) every map is O(n):
     [u, v, w]         = B(u, w) v - B(v, w) u
 
 `CurvedSpace.stage` takes the one square m per stage and returns (phi, data)
-with data = (m, phi), which the stepper hands back to `exp`, `pullback` and
-`dexpinv`. The Exp-time guards raise NonSpacelikeTangent for a tangent whose
-m has the wrong sign beyond round-off (possible only when B is indefinite),
-and StepTooLarge for phi above `exp_limit`.
+with data = (m, phi), which the stepper hands back to `exp` and, through the
+chart's `tangent`, to the transport and `dexpinv`. A truncated series
+1 + sum c_n x^n at x = ad^2_theta, which is -m on the B-normal part, is the
+scalar 1 + sum c_n (-m)^n there. The Exp-time guards raise
+NonSpacelikeTangent for a tangent whose m has the wrong sign beyond
+round-off (possible only when B is indefinite), and StepTooLarge for phi
+above `exp_limit`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 
 import numpy as np
 
-from .core import Chart, SpaceContract, require_ndarray
+from .core import Chart, SpaceContract, dexpinv_series_tail, require_ndarray
 from .errors import NonSpacelikeTangent, NotOnManifold, NumericalFailure, StepTooLarge
 
 PHI_SMALL = 1e-4
@@ -138,15 +141,16 @@ class CurvedChart(Chart):
     def at_base(self, value):
         return value
 
-    def pullback(self, theta, data, value):
+    def tangent(self, theta, data, value, coefficients):
         space = self.space
-        return space.transport(space.exp(self.base, theta, data, 0.5), value)
-
-    def dexpinv(self, theta, data, w):
-        return self.space.dexpinv(theta, data, w)
-
-    def ad2(self, theta, w):
-        return self.space.triple(w, theta, theta)
+        w = space.transport(space.exp(self.base, theta, data, 0.5), value)
+        if coefficients is None:
+            return space.dexpinv(theta, data, w)
+        # ad^2_theta = [., theta, theta] is -m on the part of w B-normal to
+        # theta and 0 on theta itself, so the series is one scalar there.
+        m = data[0]
+        tail = dexpinv_series_tail(coefficients, -m)
+        return w + tail * (w - (space.form(theta, w) / m) * theta)
 
     def field_value(self, point, value, diagnostics: bool):
         if not diagnostics:

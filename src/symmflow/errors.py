@@ -13,7 +13,8 @@ class SymmflowError(Exception):
 
 
 class DimensionMismatch(SymmflowError):
-    """Operands have incompatible shapes."""
+    """Operands have incompatible shapes, or a value is not a real array
+    (a complex or object field value, say)."""
 
 
 class NotOnManifold(SymmflowError):

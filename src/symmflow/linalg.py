@@ -48,7 +48,7 @@ def sym_eig(a):
     entries, or a LAPACK failure to converge, raise NumericalFailure.
     """
     a = _as_square(a)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericalFailure("matrix has non-finite entries")
     try:
         w, v = np.linalg.eigh(a)
@@ -82,7 +82,7 @@ def mat_exp(a) -> np.ndarray:
 def require_positive_definite(w, a) -> None:
     """NonPositiveDefinite unless the smallest eigenvalue w[0] of the symmetric
     matrix `a` exceeds _PD_EPS times its max-norm."""
-    floor = _PD_EPS * float(np.max(np.abs(a)))
+    floor = _PD_EPS * float(abs(a).max())
     if w[0] <= floor:
         raise NonPositiveDefinite(
             f"matrix is not positive definite: min eigenvalue {w[0]:.3e} not above {floor:.3e}"

@@ -11,10 +11,17 @@ y -> s y s with s = sqrt(y_l), computed once per step:
     y_next = s exp(sum_j b_j Kt_j) s
 
 Every theta_i is symmetric, so one eigendecomposition theta_i = V diag(w) V^T,
-the chart's stage data, gives both exp(theta_i) and exp(-theta_i/2), as one
-of y_l gives s and s^{-1}. A zero stage needs neither, and the Exp of a zero
-update is y_l itself. All products of symmetric factors are re-symmetrized
-to suppress round-off drift, so SPD-ness of the output is structural.
+the chart's stage data, gives exp(theta_i), and in its basis both maps of
+the stage tangent are entrywise: with P = s^{-1} V diag(e^{-w/2}),
+
+    Kt_i = V [(P^T h F P) o G] V^T,   G_jk = 1 + sum_n c_n x_jk^n,
+    x_jk = (w_j - w_k)^2 / 4,
+
+the eigenvalues of ad^2_theta_i (o is the entrywise product). One
+eigendecomposition of y_l gives s and s^{-1}. A zero stage needs none, and
+the Exp of a zero update is y_l itself. All products of symmetric factors
+are re-symmetrized to suppress round-off drift, so SPD-ness of the output
+is structural.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import math
 
 import numpy as np
 
-from .core import Chart, SpaceContract, require_ndarray
+from .core import Chart, SpaceContract, dexpinv_series_tail, require_ndarray
 from .errors import DimensionMismatch, NonPositiveDefinite, NotOnManifold, SymmetryViolation
 from .linalg import require_positive_definite, sym_eig, symmetrize
 
@@ -69,8 +76,8 @@ def random_sym(rng, n: int, scale: float = 1.0) -> np.ndarray:
 
 def _check_symmetric_field(value) -> float:
     """Symmetry defect of a field value; raises beyond the 1e-10 contract."""
-    skew = float(np.max(np.abs(value - value.T)))
-    if skew > 1e-10 * max(float(np.max(np.abs(value))), 1e-300):
+    skew = float(abs(value - value.T).max())
+    if skew > 1e-10 * max(float(abs(value).max()), 1e-300):
         raise SymmetryViolation(f"field value has symmetry defect {skew:.3e}")
     return skew
 
@@ -81,8 +88,9 @@ class SpdChart(Chart):
     Points and field values move between y and I through s = sqrt(y), taken
     once when the chart is built; a non-SPD y raises NonPositiveDefinite.
     The stage data of a non-zero theta is its eigendecomposition (w, V),
-    which gives both exp(theta) and exp(-theta/2); a zero stage takes none,
-    and its Exp is y itself.
+    which gives exp(theta) and the stage tangent; a zero stage takes none,
+    and its Exp is y itself. `spd.ad2` is not called on the stage path: it
+    stays as the tests' independent route to the series.
     """
 
     def __init__(self, y):
@@ -90,7 +98,7 @@ class SpdChart(Chart):
         self.s, self.s_inv = sqrt_pair(y)
 
     def stage(self, theta):
-        phi = float(np.linalg.norm(theta))
+        phi = math.sqrt(float(np.vdot(theta, theta)))
         return phi, (sym_eig(theta) if 0.0 < phi < math.inf else None)
 
     def exp(self, theta, data):
@@ -103,13 +111,20 @@ class SpdChart(Chart):
     def at_base(self, value):
         return symmetrize(self.s_inv @ value @ self.s_inv)
 
-    def pullback(self, theta, data, value):
+    def tangent(self, theta, data, value, coefficients):
+        if coefficients is None:
+            raise NotImplementedError("SPD's dExp^{-1} is the truncated series")
+        # In the eigenbasis of theta = V diag(w) V^T the pullback
+        # exp(-theta/2) s^-1 F s^-1 exp(-theta/2) is P^T F P with
+        # P = s^-1 V diag(e^{-w/2}), and ad^2_theta scales entry (i, j) by
+        # x_ij = (w_i - w_j)^2 / 4, so the series is a Hadamard factor.
         w, v = data
-        half = (v * np.exp(-0.5 * w)) @ v.T
-        return symmetrize(half @ (self.s_inv @ value @ self.s_inv) @ half)
-
-    def ad2(self, theta, w):
-        return ad2(theta, w)
+        p = (self.s_inv @ v) * np.exp(-0.5 * w)
+        k = p.T @ value @ p
+        if coefficients:
+            d = w[:, None] - w
+            k = k + k * dexpinv_series_tail(coefficients, 0.25 * (d * d))
+        return symmetrize(v @ k @ v.T)
 
     def field_value(self, point, value, diagnostics: bool):
         skew = _check_symmetric_field(value)
@@ -137,10 +152,10 @@ class SpdSpace(SpaceContract):
             raise NotOnManifold(str(err)) from err
 
     def scale(self, y) -> float:
-        return float(np.max(np.abs(y)))
+        return float(abs(y).max())
 
     def invariant_residual(self, y) -> float:
-        return float(np.max(np.abs(y - y.T)))
+        return float(abs(y - y.T).max())
 
     def renormalize(self, y):
         return symmetrize(y)

@@ -273,6 +273,9 @@ BAD_FIELD_VALUES = {
     "wrong-shape": lambda p: np.zeros(p.size + 1),
     "list": lambda p: p.tolist(),
     "none": lambda p: None,
+    "complex": lambda p: p.astype(complex),
+    "object": lambda p: p.astype(object),
+    "bool": lambda p: p > 0.0,
 }
 
 
@@ -284,6 +287,31 @@ def test_bad_field_value_raises_dimension_mismatch(geometry, kind):
     with pytest.raises(DimensionMismatch) as excinfo:
         integrate(space, builtin_tableau("rk4"), field, y0, 0.01, 3)
     assert excinfo.value.step_index == 1
+
+
+@pytest.mark.parametrize("geometry", sorted(_ON_MANIFOLD))
+def test_integer_and_single_precision_field_values_accepted(geometry):
+    space, y0 = _ON_MANIFOLD[geometry]
+    t = builtin_tableau("rk4")
+    zeros, _ = integrate(space, t, lambda p: np.zeros(p.shape, dtype=np.int64), y0, 0.01, 3)
+    assert all(point is y0 for point in zeros)
+    field = _field(geometry)
+    single, _ = integrate(space, t, lambda p: field(p).astype(np.float32), y0, 0.01, 3)
+    double, _ = integrate(space, t, field, y0, 0.01, 3)
+    assert single[-1].dtype == np.float64
+    # float32 rounds the field value to about 6e-8 of its size.
+    assert np.max(np.abs(single[-1] - double[-1])) <= 1e-6 * np.max(np.abs(double[-1]))
+
+
+@pytest.mark.parametrize("terms, error", [(2.7, TypeError), ("2", TypeError), (-1, ValueError)])
+def test_bad_dexpinv_terms_rejected_before_the_first_step(terms, error):
+    calls = []
+    with pytest.raises(error, match="dexpinv_terms"):
+        integrate(
+            spd.SPD, builtin_tableau("rk4"), lambda p: calls.append(p) or np.zeros_like(p),
+            np.eye(2), 0.01, 3, dexpinv_terms=terms,
+        )
+    assert calls == []
 
 
 OFF_MANIFOLD = {

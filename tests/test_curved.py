@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from symmflow import hyperbolic, sphere
 from symmflow.checks import ambient_step, dexp_forward_hyperbolic, dexp_forward_sphere
-from symmflow.core import cssi_step
+from symmflow.core import DexpinvSeries, cssi_step, dexpinv_series_apply
 from symmflow.curved import PHI_SMALL
 from symmflow.errors import NonSpacelikeTangent, StepTooLarge
 from symmflow.linalg import minkowski
@@ -77,20 +77,20 @@ def test_chart_matches_public_functions(name, seed, n, fraction, base_distance):
     assert phi == math.sqrt(abs(square(theta)))
 
     assert _same(_outcome(chart.exp, theta, data), _outcome(module.exp_point, base, theta))
-    assert _same(
-        _outcome(chart.pullback, theta, data, value),
-        _outcome(lambda: module.transport_inv(public_half(base, theta), value)),
+    # The stage tangent is the public transport back from the midpoint
+    # followed by the public dExp^{-1}. The stepper stops a stage at
+    # chart.stage_limit before it; the public dexpinv raises there.
+    tangent = _outcome(chart.tangent, theta, data, value, None)
+    public = _outcome(
+        lambda: module.dexpinv(theta, module.transport_inv(public_half(base, theta), value))
     )
-    # The stepper stops a stage at chart.stage_limit before dExp^{-1}; the
-    # public dexpinv raises the same error at the same stages.
-    public = _outcome(module.dexpinv, theta, w)
     if phi < chart.stage_limit:
-        assert _same(chart.dexpinv(theta, data, w), public)
+        assert _same(tangent, public)
     else:
         assert public is StepTooLarge
     if phi < 1.0:
         # dExp^{-1} undoes the forward differential, series branch included.
-        roundtrip = chart.dexpinv(theta, data, forward(theta, w))
+        roundtrip = space.dexpinv(theta, data, forward(theta, w))
         assert np.max(np.abs(roundtrip - w)) <= 1e-13 * np.max(np.abs(w))
 
 
@@ -109,3 +109,28 @@ def test_sphere_step_matches_ambient_step(n):
         via_ambient = ambient_step("sphere", t, field, y, 0.05)
         assert np.max(np.abs(via_chart - via_ambient)) <= 1e-13
         y = via_chart
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    terms=st.integers(0, 5),
+    phi=st.floats(1e-6, 2.0),
+    base_distance=st.floats(0.0, 3.0),
+)
+def test_forced_series_matches_iterated_double_bracket(name, seed, n, terms, phi, base_distance):
+    # With forced terms the chart sums the series as one scalar on the part
+    # B-normal to theta; the reference applies [., theta, theta] term by term.
+    space, module, draw_point, public_half, *_ = SPACES[name]
+    rng = np.random.default_rng(seed)
+    base = draw_point(rng, n, base_distance)
+    theta = module.random_tangent(rng, base, scale=phi)
+    value = module.random_tangent(rng, base)
+    chart = space.chart(base)
+    series = DexpinvSeries.with_terms(terms)
+    got = chart.tangent(theta, chart.stage(theta)[1], value, series.coefficients)
+    pulled = module.transport_inv(public_half(base, theta), value)
+    want = dexpinv_series_apply(series, lambda w: space.triple(w, theta, theta), pulled)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

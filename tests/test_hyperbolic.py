@@ -293,10 +293,12 @@ class TestChartStageCache:
         for _ in range(2):
             with pytest.raises(error):
                 chart.exp(theta, data)
-            with pytest.raises(error):
-                chart.pullback(theta, data, np.ones(3))
+            for coefficients in (None, (-1.0 / 6.0,)):
+                with pytest.raises(error):
+                    chart.tangent(theta, data, np.ones(3), coefficients)
         w = np.array([0.0, 1.0, 0.0])
-        assert chart.dexpinv(theta, data, w).tobytes() == hyperbolic.dexpinv(theta, w).tobytes()
+        space = hyperbolic.HYPERBOLOID
+        assert space.dexpinv(theta, data, w).tobytes() == hyperbolic.dexpinv(theta, w).tobytes()
 
 
 def test_implicit_midpoint_minkowski_calls(monkeypatch):

@@ -19,7 +19,7 @@ from symmflow.errors import (
     SymmetryViolation,
 )
 from symmflow.linalg import mat_exp, spd_sqrt, symmetrize
-from symmflow.tableau import builtin_tableau
+from symmflow.tableau import builtin_tableau, tableau_names
 
 
 def double_bracket_field(target):
@@ -211,11 +211,16 @@ class TestRebasedContract:
         assert np.max(np.abs(chart.exp(v, chart.stage(v)[1]) - mat_exp(v))) <= 1e-12
 
     def test_triple_at_identity_reduces_to_commutators(self):
+        # A one-term series with c_1 = 1 adds exactly ad^2_theta of the
+        # pulled-back value, which the chart applies in the eigenbasis.
         rng = np.random.default_rng(73)
-        theta, w = (spd.random_sym(rng, 3) for _ in range(2))
+        theta, value = (spd.random_sym(rng, 3) for _ in range(2))
+        chart = spd.SPD.chart(np.eye(3))
+        data = chart.stage(theta)[1]
+        w = chart.tangent(theta, data, value, ())
         c = w @ theta - theta @ w
         by_hand = 0.25 * (c @ theta - theta @ c)
-        gap = np.max(np.abs(spd.SPD.chart(np.eye(3)).ad2(theta, w) - by_hand))
+        gap = np.max(np.abs(chart.tangent(theta, data, value, (1.0,)) - w - by_hand))
         assert gap <= 1e-12
 
 
@@ -224,7 +229,7 @@ def _relative_gap(a, b) -> float:
 
 
 class TestChartExponentials:
-    """The chart's eigh-based exp(theta) and exp(-theta/2) against Taylor `mat_exp`."""
+    """The chart's eigh-based exp(theta) and stage tangent against Taylor `mat_exp`."""
 
     @staticmethod
     def _draw(seed, n, theta_norm, log10_cond):
@@ -250,6 +255,7 @@ class TestChartExponentials:
         y, theta, value = self._draw(seed, n, theta_norm, log10_cond)
         chart = spd.SPD.chart(y)
         phi, data = chart.stage(theta)
+        assert phi == np.linalg.norm(theta)
         if phi == 0.0:
             # A zero stage takes no decomposition, and its Exp is y itself.
             assert data is None and chart.exp(theta, data) is y
@@ -257,17 +263,63 @@ class TestChartExponentials:
         taylor = symmetrize(chart.s @ mat_exp(theta) @ chart.s)
         assert _relative_gap(chart.exp(theta, data), taylor) <= 1e-12
 
+        # With no series terms the stage tangent is the pullback alone.
         half = mat_exp(-0.5 * theta)
         taylor = symmetrize(half @ (chart.s_inv @ value @ chart.s_inv) @ half)
-        assert _relative_gap(chart.pullback(theta, data, value), taylor) <= 1e-12
+        assert _relative_gap(chart.tangent(theta, data, value, ()), taylor) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        terms=st.integers(0, 5),
+        theta_norm=st.floats(1e-3, 2.0),
+        log10_cond=st.floats(0.0, 6.0),
+    )
+    def test_tangent_matches_series_over_ad2(self, seed, n, terms, theta_norm, log10_cond):
+        # The eigenbasis scaling against the Taylor pullback followed by the
+        # series of nested commutators.
+        y, theta, value = self._draw(seed, n, theta_norm, log10_cond)
+        chart = spd.SPD.chart(y)
+        series = DexpinvSeries.with_terms(terms)
+        got = chart.tangent(theta, chart.stage(theta)[1], value, series.coefficients)
+        half = mat_exp(-0.5 * theta)
+        pulled = symmetrize(half @ (chart.s_inv @ value @ chart.s_inv) @ half)
+        want = dexpinv_series_apply(series, lambda w: spd.ad2(theta, w), pulled)
+        assert _relative_gap(got, want) <= 1e-12
 
     def test_rk4_step_takes_five_decompositions(self, monkeypatch):
         # One for sqrt(y), one per non-zero stage (3) shared by its exp and
-        # pullback, and one for the update.
+        # tangent, and one for the update. The dExp^{-1} series is applied in
+        # the stage's eigenbasis, so no double bracket is formed.
         calls = []
         real = spd.sym_eig
         monkeypatch.setattr(spd, "sym_eig", lambda a: calls.append(a) or real(a))
+        brackets = []
+        real_ad2 = spd.ad2
+        monkeypatch.setattr(spd, "ad2", lambda t, w: brackets.append(w) or real_ad2(t, w))
         y = spd.random_spd(np.random.default_rng(75), 5)
         field = double_bracket_field(np.diag(np.arange(1.0, 6.0)))
         cssi_step(spd.SPD, builtin_tableau("rk4"), field, y, 0.01)
         assert len(calls) == 5
+        assert brackets == []
+
+
+EXPLICIT = [name for name in tableau_names() if builtin_tableau(name).is_explicit]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("method", EXPLICIT)
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), h=st.floats(0.001, 0.1))
+def test_default_step_matches_ambient_step(method, n, seed, h):
+    # The default series (order-matched terms) against the ambient oracle,
+    # which takes no square root and iterates the commutator bracket.
+    rng = np.random.default_rng(seed)
+    y = spd.random_spd(rng, n)
+    field = double_bracket_field(spd.random_sym(rng, n, scale=3.0))
+    t = builtin_tableau(method)
+    terms = DexpinvSeries.for_order(t.declared_order).truncation_terms
+    via_chart, _ = cssi_step(spd.SPD, t, field, y, h)
+    via_ambient = ambient_step("spd", t, field, y, h, terms=terms)
+    assert np.max(np.abs(via_chart - via_ambient)) <= 1e-12 * np.max(np.abs(y))
