@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from symmflow.errors import (
     SymmetryViolation,
 )
 from symmflow.linalg import mat_exp, spd_sqrt, symmetrize
+from symmflow.problems import build_problem
 from symmflow.tableau import builtin_tableau, tableau_names
 
 
@@ -323,3 +325,29 @@ def test_default_step_matches_ambient_step(method, n, seed, h):
     via_chart, _ = cssi_step(spd.SPD, t, field, y, h)
     via_ambient = ambient_step("spd", t, field, y, h, terms=terms)
     assert np.max(np.abs(via_chart - via_ambient)) <= 1e-12 * np.max(np.abs(y))
+
+
+# sha256 of the trajectory bytes of double_bracket n = 4 seed 42, h = 0.01 to
+# T = 2, taken with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64. An edit that
+# reorders the arithmetic of a step changes them. rk4's default series has
+# two terms, so the forced two-term run takes the same bits.
+TRAJECTORY_SHA256 = {
+    ("rk4", None): "1224d62411671a06e0a32240c22dbb3a6e6630495336d235c5a44eaa45cd90de",
+    ("rk4", 2): "1224d62411671a06e0a32240c22dbb3a6e6630495336d235c5a44eaa45cd90de",
+}
+
+
+@pytest.mark.parametrize("method, terms", sorted(TRAJECTORY_SHA256, key=str))
+def test_trajectory_bits_are_pinned(method, terms):
+    problem = build_problem("spd", "double_bracket", dim=4, T=2.0)
+    trajectory, _ = integrate(
+        spd.SPD,
+        builtin_tableau(method),
+        problem.field,
+        problem.spec.y0,
+        0.01,
+        200,
+        dexpinv_terms=terms,
+    )
+    digest = hashlib.sha256(np.stack(trajectory).tobytes()).hexdigest()
+    assert digest == TRAJECTORY_SHA256[method, terms]
