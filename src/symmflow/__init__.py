@@ -1,20 +1,20 @@
 """Structure-preserving Runge-Kutta integration on symmetric spaces.
 
 Three concrete geometries are shipped: the unit n-sphere, hyperbolic n-space
-in the hyperboloid model, and SPD matrices. Each supplies a per-step chart
-(closed-form geodesic exponential, parallel transport back to the base,
-dExp^{-1} or the double bracket feeding its series) to the single stepping
-core, `cssi_step`, which `integrate` marches. The `harness` module
+in the hyperboloid model, and SPD matrices. Each is one `SpaceContract`
+that supplies its closed forms from a per-step base point (geodesic
+exponential, parallel transport back to the base, dExp^{-1} or the spectrum
+of the double bracket feeding its series) to the single stepping core,
+`cssi_step`, which `integrate` marches. The `harness` module
 adds benchmark problems, convergence-order studies and CSV emission behind
 the `symmflow` command-line tool.
 """
 
 from .core import (
-    Chart,
-    DexpinvSeries,
     SpaceContract,
     StepRecord,
     cssi_step,
+    dexpinv_coefficients,
     dexpinv_series_apply,
     integrate,
     lts_axiom_residuals,
@@ -46,9 +46,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ButcherTableau",
-    "Chart",
     "CurvedSpace",
-    "DexpinvSeries",
     "DimensionMismatch",
     "FixedPointDivergence",
     "HYPERBOLOID",
@@ -71,6 +69,7 @@ __all__ = [
     "builtin_tableau",
     "check_order_conditions",
     "cssi_step",
+    "dexpinv_coefficients",
     "dexpinv_series_apply",
     "integrate",
     "lts_axiom_residuals",

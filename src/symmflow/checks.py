@@ -9,7 +9,7 @@ Three groups, each a list of (name, worst residual, bound) comparisons:
 * oracle: closed forms re-derived through an independent route, i.e. the
   ambient matrix exponential of hat matrices, nested matrix commutators,
   composition with the forward differential, the Bernoulli-number series,
-  and the chart-based step against `ambient_step`, an explicit step built
+  and the library's step against `ambient_step`, an explicit step built
   from those ambient routes alone.
 """
 
@@ -22,8 +22,8 @@ import numpy as np
 
 from . import hyperbolic, sphere
 from .core import (
-    DexpinvSeries,
     cssi_step,
+    dexpinv_coefficients,
     dexpinv_series_apply,
     lts_axiom_residuals,
     triple_bracket_oracle,
@@ -112,7 +112,7 @@ def ambient_step(space: str, tableau, field, y, h: float, terms: int = 10):
         def ad2(theta, w):
             return triple_bracket_oracle(hat, y, w, theta, theta)
 
-    series = DexpinvSeries.with_terms(terms)
+    coefficients = dexpinv_coefficients(terms)
     a, b = tableau.a, tableau.b
     ktil = []
     for i in range(tableau.stages):
@@ -120,7 +120,7 @@ def ambient_step(space: str, tableau, field, y, h: float, terms: int = 10):
         for j in range(i):
             theta = theta + a[i, j] * ktil[j]
         k = pullback(theta, h * field(exp(theta)))
-        ktil.append(dexpinv_series_apply(series, lambda w: ad2(theta, w), k))
+        ktil.append(dexpinv_series_apply(coefficients, lambda w: ad2(theta, w), k))
     theta = np.zeros_like(y)
     for j in range(tableau.stages):
         theta = theta + b[j] * ktil[j]
@@ -209,7 +209,7 @@ def identity_suite(seed: int = 0) -> list[CheckResult]:
     out.append(CheckResult("identity", "hyperbolic boost factorization", worst_boost, 1e-10))
     out.append(CheckResult("identity", "hyperbolic Q = boost squared", worst_q, 1e-10))
 
-    # SPD stage pullback: the chart's stage tangent with no series terms,
+    # SPD stage pullback: the stage tangent with no series terms,
     # exp(-theta/2) W exp(-theta/2) in the eigenbasis of theta, agrees with
     # routing the transport through the inverted Taylor exponential.
     worst = 0.0
@@ -218,8 +218,7 @@ def identity_suite(seed: int = 0) -> list[CheckResult]:
         s_inv = spd_inv(spd_sqrt(yspd))
         theta = random_sym(rng, 4, scale=0.7)
         value = random_sym(rng, 4, scale=1.0)
-        chart = SPD.chart(yspd)
-        direct = chart.tangent(theta, chart.stage(theta)[1], value, ())
+        direct = SPD.tangent(SPD.base(yspd), theta, SPD.stage(theta)[1], value, ())
         inv_half = spd_inv(mat_exp(0.5 * theta))
         composed = inv_half @ (s_inv @ value @ s_inv) @ inv_half
         worst = max(worst, float(np.max(np.abs(direct - composed))))
@@ -350,42 +349,15 @@ def oracle_suite(seed: int = 0, samples: int = 100) -> list[CheckResult]:
     out.append(CheckResult("oracle", "hyperbolic dexpinv round trip", worst_dexp, 1e-13))
 
     # Closed-form inverse differentials against the 6-term Bernoulli series.
-    six_terms = DexpinvSeries.with_terms(6)
+    six_terms = dexpinv_coefficients(6)
     worst = 0.0
-    base = sphere.random_point(rng, 5)
-    for _ in range(samples):
-        theta = sphere.random_tangent(rng, base, scale=0.3)
-        w = sphere.random_tangent(rng, base)
-        worst = max(
-            worst,
-            float(
-                np.max(
-                    np.abs(
-                        sphere.dexpinv(theta, w)
-                        - dexpinv_series_apply(
-                            six_terms, lambda x: sphere.triple(x, theta, theta), w
-                        )
-                    )
-                )
-            ),
-        )
-    baseh = hyperbolic.random_point(rng, 5)
-    for _ in range(samples):
-        theta = hyperbolic.random_tangent(rng, baseh, scale=0.3)
-        w = hyperbolic.random_tangent(rng, baseh)
-        worst = max(
-            worst,
-            float(
-                np.max(
-                    np.abs(
-                        hyperbolic.dexpinv(theta, w)
-                        - dexpinv_series_apply(
-                            six_terms, lambda x: hyperbolic.triple(x, theta, theta), w
-                        )
-                    )
-                )
-            ),
-        )
+    for module in (sphere, hyperbolic):
+        base = module.random_point(rng, 5)
+        for _ in range(samples):
+            theta = module.random_tangent(rng, base, scale=0.3)
+            w = module.random_tangent(rng, base)
+            series = dexpinv_series_apply(six_terms, lambda x: module.triple(x, theta, theta), w)
+            worst = max(worst, float(np.max(np.abs(module.dexpinv(theta, w) - series))))
     out.append(CheckResult("oracle", "closed dexpinv vs 6-term series", worst, 1e-9))
 
     # SPD double bracket: two bracket orders agree with hand expansion.
@@ -398,17 +370,17 @@ def oracle_suite(seed: int = 0, samples: int = 100) -> list[CheckResult]:
         worst = max(worst, float(np.max(np.abs(direct - via_triple))))
     out.append(CheckResult("oracle", "spd double bracket forms", worst, 1e-13))
 
-    # The chart-based stepper against the ambient oracle step.
+    # The stepper against the ambient oracle step.
     tableau = builtin_tableau("rk4")
     inv_inertia = np.array([1.0, 0.5, 1.0 / 3.0])
     rb_field = lambda p: np.cross(p, inv_inertia * p)
     y = np.array([0.6, 0.0, 0.8])
     worst = 0.0
     for _ in range(50):
-        via_chart, _ = cssi_step(sphere.SPHERE, tableau, rb_field, y, 0.05)
+        via_step, _ = cssi_step(sphere.SPHERE, tableau, rb_field, y, 0.05)
         via_ambient = ambient_step("sphere", tableau, rb_field, y, 0.05)
-        worst = max(worst, float(np.max(np.abs(via_chart - via_ambient))))
-        y = via_chart
+        worst = max(worst, float(np.max(np.abs(via_step - via_ambient))))
+        y = via_step
     out.append(CheckResult("oracle", "generic vs specialized (sphere)", worst, 1e-13))
 
     gen = np.zeros((3, 3))
@@ -418,10 +390,10 @@ def oracle_suite(seed: int = 0, samples: int = 100) -> list[CheckResult]:
     z = hyperbolic.base_point(2)
     worst = 0.0
     for _ in range(50):
-        via_chart, _ = cssi_step(hyperbolic.HYPERBOLOID, tableau, lz_field, z, 0.05)
+        via_step, _ = cssi_step(hyperbolic.HYPERBOLOID, tableau, lz_field, z, 0.05)
         via_ambient = ambient_step("hyperbolic", tableau, lz_field, z, 0.05)
-        worst = max(worst, float(np.max(np.abs(via_chart - via_ambient))))
-        z = via_chart
+        worst = max(worst, float(np.max(np.abs(via_step - via_ambient))))
+        z = via_step
     out.append(CheckResult("oracle", "generic vs specialized (hyperbolic)", worst, 1e-13))
 
     target = np.diag([1.0, 2.0, 3.0])
@@ -431,10 +403,10 @@ def oracle_suite(seed: int = 0, samples: int = 100) -> list[CheckResult]:
     yspd = random_spd(np.random.default_rng(seed + 1), 3)
     worst = 0.0
     for _ in range(10):
-        via_chart, _ = cssi_step(SPD, tableau, db_field, yspd, 0.01, dexpinv_terms=2)
+        via_step, _ = cssi_step(SPD, tableau, db_field, yspd, 0.01, dexpinv_terms=2)
         via_ambient = ambient_step("spd", tableau, db_field, yspd, 0.01, terms=2)
-        worst = max(worst, float(np.max(np.abs(via_chart - via_ambient))))
-        yspd = via_chart
+        worst = max(worst, float(np.max(np.abs(via_step - via_ambient))))
+        yspd = via_step
     out.append(CheckResult("oracle", "rebased vs fixed-base (spd)", worst, 1e-10))
     return out
 

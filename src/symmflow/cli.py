@@ -9,7 +9,8 @@
 
 All flags of `run` and `converge` may instead live in a JSON config file
 given with --config; explicit flags override the file. Exit status is 0 on
-success, 1 on any failure (including a failing `check` suite).
+success, 1 on any failure (including a failing `check` suite); bad input
+and failed runs print one `error:` line.
 """
 
 from __future__ import annotations
@@ -93,9 +94,14 @@ def _require(options: dict, *keys):
 
 
 def _parse_terms(raw):
+    """None for 'auto', else a term count from an int or a string of digits."""
     if raw is None or raw == "auto":
         return None
-    return int(raw)
+    if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 0:
+        return raw
+    if isinstance(raw, str) and raw.isascii() and raw.isdigit():
+        return int(raw)
+    raise ValueError(f"dexpinv_terms must be 'auto' or a non-negative integer: {raw!r}")
 
 
 def _cmd_run(options: dict) -> int:
@@ -187,7 +193,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(options)
         return _cmd_converge(options)
-    except SymmflowError as err:
+    except (SymmflowError, ValueError) as err:
         step = getattr(err, "step_index", None)
         where = f" (at step {step})" if step is not None else ""
         print(f"error: {err}{where}", file=sys.stderr)

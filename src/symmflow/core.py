@@ -7,23 +7,25 @@ A step from y solves the stage equations
     Kt_i    = dExp^{-1}_{theta_i} K_i
     y_next  = Exp_y(sum_j b_j Kt_j)
 
-in a chart at the current point y (the base point moves to y every step).
-`space.chart(y)` computes the per-step base data once and supplies Exp_y and
-the stage tangent dExp^{-1}_theta Gamma_theta^{-1} of a field value: the
-pullback to chart coordinates at the base (Gamma^{-1} is parallel transport
-back along the stage geodesic, realized through the geodesic midpoint),
-followed by dExp^{-1}, the inverse trivialized differential of Exp. The
-latter is the scalar series
+at the current point y (the base point moves to y every step). The space
+(`SpaceContract`) takes the per-step base data once with `space.base(y)` and
+supplies Exp_y and the stage tangent dExp^{-1}_theta Gamma_theta^{-1} of a
+field value: the pullback to stage coordinates at the base (Gamma^{-1} is
+parallel transport back along the stage geodesic, realized through the
+geodesic midpoint), followed by dExp^{-1}, the inverse trivialized
+differential of Exp. The latter is the scalar series
 
     sqrt(x)/sinh(sqrt(x)) = 1 - x/6 + 7x^2/360 - 31x^3/15120 + ...
 
 evaluated at x = ad^2_theta : w -> [w, theta, theta], the double bracket of
-the tangent-space Lie triple system. Each chart evaluates it on the spectrum
-of ad^2_theta, which it knows in closed form: the constant-curvature spaces
-have the single non-zero eigenvalue -B(theta, theta), SPD the values
-(l_i - l_j)^2 / 4 over pairs of eigenvalues of theta. The former also sum
-the series in closed form. A geometry without such a spectrum can apply
-`dexpinv_series_apply` over its double bracket instead.
+the tangent-space Lie triple system; a truncated series is its coefficient
+tuple from `dexpinv_coefficients`. Each geometry evaluates it on the
+spectrum of ad^2_theta, which it knows in closed form: the
+constant-curvature spaces have the single non-zero eigenvalue
+-B(theta, theta), SPD the values (l_i - l_j)^2 / 4 over pairs of
+eigenvalues of theta. The former also sum the series in closed form. A
+geometry without such a spectrum can apply `dexpinv_series_apply` over its
+double bracket instead.
 
 Explicit tableaus are solved stage by stage; implicit ones by fixed-point
 iteration on the stage tangents, stopping once the max stage change is at
@@ -60,43 +62,52 @@ _FP_TOL = 1e-14
 _FP_CAP = 50
 
 
-class Chart(ABC):
-    """One step's view of a geometry from its base point, built by `space.chart(y)`.
+class SpaceContract(ABC):
+    """What a geometry supplies to the stepper: its closed forms, from a base point.
 
-    Stage tangents are chart coordinates at the base: ambient tangent vectors
-    at y on the sphere and hyperboloid, symmetric matrices at the identity on
-    SPD. `stage(theta)` returns (phi, data); the stepper hands data back with
-    the same theta to `exp` and `tangent`, so whatever a stage needs more
-    than once (a square, an eigendecomposition) is taken once. Every method
-    treats its arguments as immutable.
+    Points are plain ndarrays in the ambient representation (unit vectors,
+    hyperboloid vectors, or SPD matrices). Stage tangents are coordinates at
+    the base: ambient tangent vectors at y on the sphere and hyperboloid,
+    symmetric matrices at the identity on SPD. `base(y)` takes whatever a
+    step reuses once per step; `stage(theta)` returns (phi, data), and the
+    stepper hands the base and the data back with the same theta to `exp`
+    and `tangent`, so whatever a stage needs more than once (a square, an
+    eigendecomposition) is taken once. Every method treats its arguments as
+    immutable and keeps no state between calls.
     """
 
+    #: geometries with a closed-form dExp^{-1} set this True
+    has_closed_dexpinv: bool = False
     #: stages whose magnitude reaches this raise StepTooLarge
     stage_limit: float = math.inf
+
+    @abstractmethod
+    def base(self, y):
+        """The per-step base data at y, which the stepper does not look inside."""
 
     @abstractmethod
     def stage(self, theta):
         """(phi, data): the stage magnitude, for records and guards, and its stage data."""
 
     @abstractmethod
-    def exp(self, theta, data):
+    def exp(self, base, theta, data):
         """The point Exp_y(theta); y itself when phi is 0."""
 
     @abstractmethod
-    def at_base(self, value):
-        """Chart coordinates of a field value at the base point itself."""
+    def at_base(self, base, value):
+        """Stage coordinates of a field value at the base point itself."""
 
     @abstractmethod
-    def tangent(self, theta, data, value, coefficients):
+    def tangent(self, base, theta, data, value, coefficients):
         """The stage tangent dExp^{-1}_theta Gamma_theta^{-1}(value), for phi > 0.
 
-        `value` is a field value at exp(theta, data). With `coefficients`
-        c_1..c_N, dExp^{-1} is the truncated series 1 + sum c_n x^n at
-        x = ad^2_theta, which a chart evaluates on the spectrum of
-        ad^2_theta where it knows it (`dexpinv_series_tail`), or else
-        through `dexpinv_series_apply` over its double bracket. With None
-        it is exact, which only spaces with `has_closed_dexpinv` are asked
-        for.
+        `value` is a field value at exp(base, theta, data). With
+        `coefficients` c_1..c_N, dExp^{-1} is the truncated series
+        1 + sum c_n x^n at x = ad^2_theta, which a geometry evaluates on the
+        spectrum of ad^2_theta where it knows it (`dexpinv_series_tail`), or
+        else through `dexpinv_series_apply` over its double bracket. With
+        None it is exact, which only spaces with `has_closed_dexpinv` are
+        asked for.
         """
 
     @abstractmethod
@@ -106,21 +117,6 @@ class Chart(ABC):
         Under `diagnostics` the value is projected onto the tangent space and
         the defect is the size of what was discarded; otherwise it is 0.
         """
-
-
-class SpaceContract(ABC):
-    """What a geometry supplies to the stepper.
-
-    Points are plain ndarrays in the ambient representation (unit vectors,
-    hyperboloid vectors, or SPD matrices).
-    """
-
-    #: geometries whose charts have a closed-form dExp^{-1} set this True
-    has_closed_dexpinv: bool = False
-
-    @abstractmethod
-    def chart(self, y) -> Chart:
-        """The chart at y, holding whatever base data a step reuses."""
 
     @abstractmethod
     def check_point(self, y) -> None:
@@ -180,28 +176,16 @@ def dexpinv_coefficients(terms: int) -> tuple[float, ...]:
     )
 
 
-@dataclass(frozen=True)
-class DexpinvSeries:
-    """Truncated scalar series of the inverse trivialized differential."""
-
-    truncation_terms: int
-    coefficients: tuple[float, ...]
-
-    @classmethod
-    def with_terms(cls, terms: int) -> "DexpinvSeries":
-        return cls(terms, dexpinv_coefficients(terms))
-
-    @classmethod
-    def for_order(cls, order: int) -> "DexpinvSeries":
-        """Default truncation for a declared-order-p method: ceil((p-1)/2)."""
-        return cls.with_terms(max(0, math.ceil((order - 1) / 2)))
+def order_matched_terms(order: int) -> int:
+    """Default series truncation for a declared-order-p method: ceil((p-1)/2)."""
+    return max(0, math.ceil((order - 1) / 2))
 
 
 def dexpinv_series_tail(coefficients, x):
     """sum_n c_n x^n, the series less its leading 1, by Horner's rule.
 
-    x is a number or an array of eigenvalues of ad^2_theta, for the charts
-    that apply the series on that spectrum.
+    x is a number or an array of eigenvalues of ad^2_theta, for the
+    geometries that apply the series on that spectrum.
     """
     tail = 0.0
     for c in reversed(coefficients):
@@ -209,11 +193,14 @@ def dexpinv_series_tail(coefficients, x):
     return tail
 
 
-def dexpinv_series_apply(series: DexpinvSeries, ad2, w):
-    """Apply w + sum_n c_n ad2^n(w) for a linear map ad2 on the tangent space."""
+def dexpinv_series_apply(coefficients, ad2, w):
+    """Apply w + sum_n c_n ad2^n(w) for a linear map ad2 on the tangent space.
+
+    `coefficients` are c_1..c_N, as `dexpinv_coefficients(N)` returns them.
+    """
     out = w
     power = w
-    for cn in series.coefficients:
+    for cn in coefficients:
         power = ad2(power)
         out = out + cn * power
     return out
@@ -233,11 +220,17 @@ class StepRecord:
 
 
 def _resolve_coefficients(space: SpaceContract, tableau: ButcherTableau, dexpinv_terms):
-    """The series coefficients a step hands to `Chart.tangent` (None: closed form)."""
+    """The series coefficients a step hands to `SpaceContract.tangent`.
+
+    None selects the closed form, which `dexpinv_terms=None` does on spaces
+    that have one; otherwise the series is truncated to
+    `order_matched_terms` of the tableau's declared order, or to the
+    `dexpinv_terms` given.
+    """
     if dexpinv_terms is None:
         if space.has_closed_dexpinv:
             return None
-        return DexpinvSeries.for_order(tableau.declared_order).coefficients
+        return dexpinv_coefficients(order_matched_terms(tableau.declared_order))
     try:
         terms = operator.index(dexpinv_terms)
     except TypeError:
@@ -273,7 +266,7 @@ def cssi_step(
     # Python floats: cheaper to test and scale by than numpy scalars.
     a, b, r = tableau.a.tolist(), tableau.b.tolist(), tableau.stages
     coefficients = _resolve_coefficients(space, tableau, dexpinv_terms)
-    chart = space.chart(y)
+    base = space.base(y)
     stage_norms = [0.0] * r
     defect = 0.0
 
@@ -293,20 +286,20 @@ def cssi_step(
             raise DimensionMismatch(
                 f"field value must be a real ndarray of shape {p.shape}: got {got}"
             )
-        v, d = chart.field_value(p, value, diagnostics)
+        v, d = space.field_value(p, value, diagnostics)
         if d > defect:
             defect = d
         return v
 
     def stage_value(i, theta):
-        phi, data = chart.stage(theta)
+        phi, data = space.stage(theta)
         stage_norms[i] = phi
-        if not phi < chart.stage_limit:  # also NaN and inf
-            raise _bad_stage(phi, chart.stage_limit)
+        if not phi < space.stage_limit:  # also NaN and inf
+            raise _bad_stage(phi, space.stage_limit)
         if phi == 0.0:
-            return chart.at_base(h * eval_field(y))
-        value = h * eval_field(chart.exp(theta, data))
-        return chart.tangent(theta, data, value, coefficients)
+            return space.at_base(base, h * eval_field(y))
+        value = h * eval_field(space.exp(base, theta, data))
+        return space.tangent(base, theta, data, value, coefficients)
 
     def combine(row, ktil):
         theta = None
@@ -337,10 +330,10 @@ def cssi_step(
             )
 
     theta_out = combine(b, ktil)
-    phi_out, data_out = chart.stage(theta_out)
+    phi_out, data_out = space.stage(theta_out)
     if not math.isfinite(phi_out):
         raise NumericalFailure(f"update tangent is not finite (norm {phi_out})")
-    y_next = chart.exp(theta_out, data_out)
+    y_next = space.exp(base, theta_out, data_out)
 
     record = StepRecord(
         index=-1,

@@ -12,11 +12,11 @@ and with (C, S) = (cos, sin) or (cosh, sinh) every map is O(n):
     dExp^{-1}_theta   w -> w + (phi/S(phi) - 1) (w - B(theta, w)/m theta)
     [u, v, w]         = B(u, w) v - B(v, w) u
 
-`CurvedSpace.stage` takes the one square m per stage and returns (phi, data)
-with data = (m, phi), which the stepper hands back to `exp` and, through the
-chart's `tangent`, to the transport and `dexpinv`. A truncated series
-1 + sum c_n x^n at x = ad^2_theta, which is -m on the B-normal part, is the
-scalar 1 + sum c_n (-m)^n there. The Exp-time guards raise
+The base data of a step is y itself. `CurvedSpace.stage` takes the one
+square m per stage and returns (phi, data) with data = (m, phi), which the
+stepper hands back to `exp` and, through `tangent`, to the transport and
+`dexpinv`. A truncated series 1 + sum c_n x^n at x = ad^2_theta, which is -m
+on the B-normal part, is the scalar 1 + sum c_n (-m)^n there. The Exp-time guards raise
 NonSpacelikeTangent for a tangent whose m has the wrong sign beyond
 round-off (possible only when B is indefinite), and StepTooLarge for phi
 above `exp_limit`.
@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .core import Chart, SpaceContract, dexpinv_series_tail, require_ndarray
+from .core import SpaceContract, dexpinv_series_tail, require_ndarray
 from .errors import NonSpacelikeTangent, NotOnManifold, NumericalFailure, StepTooLarge
 
 PHI_SMALL = 1e-4
@@ -53,8 +53,8 @@ class CurvedSpace(SpaceContract):
         self.stage_limit = stage_limit
         self.exp_limit = exp_limit
 
-    def chart(self, y) -> "CurvedChart":
-        return CurvedChart(self, y)
+    def base(self, y):
+        return y
 
     def stage(self, theta):
         """(phi, (m, phi)) of a stage tangent, from its one square m."""
@@ -81,21 +81,42 @@ class CurvedSpace(SpaceContract):
             s_over_phi = self.s(tphi) / tphi
         return (s_over_phi * t) * theta + self.c(tphi) * base
 
+    def at_base(self, base, value):
+        return value
+
     def transport(self, mid, w):
         """Parallel transport of w back to the base: reflection at the midpoint."""
         return w - (2.0 * self.form(mid, w)) * mid
 
-    def dexpinv(self, theta, data, w):
-        """Inverse differential of Exp: phi/S(phi) on the part B-normal to theta."""
+    def dexpinv(self, theta, data, w, coefficients=None):
+        """Inverse differential of Exp: phi/S(phi) on the part B-normal to theta.
+
+        With `coefficients` it is the truncated series instead: ad^2_theta =
+        [., theta, theta] is -m on the part of w B-normal to theta and 0 on
+        theta itself, so the series is one scalar there.
+        """
         m, phi = data
         if phi == 0.0:
             return w
-        if phi < PHI_SMALL:
+        if coefficients is not None:
+            tail = dexpinv_series_tail(coefficients, -m)
+        elif phi < PHI_SMALL:
+            # Through the rounded phi/S(phi), as the pinned trajectories take it.
             p2 = phi * phi
-            phi_over_s = 1.0 + self.kappa * p2 / 6.0 + 7.0 * p2 * p2 / 360.0
+            tail = (1.0 + self.kappa * p2 / 6.0 + 7.0 * p2 * p2 / 360.0) - 1.0
         else:
-            phi_over_s = phi / self.s(phi)
-        return w + (phi_over_s - 1.0) * (w - (self.form(theta, w) / m) * theta)
+            tail = phi / self.s(phi) - 1.0
+        return w + tail * (w - (self.form(theta, w) / m) * theta)
+
+    def tangent(self, base, theta, data, value, coefficients):
+        w = self.transport(self.exp(base, theta, data, 0.5), value)
+        return self.dexpinv(theta, data, w, coefficients)
+
+    def field_value(self, point, value, diagnostics: bool):
+        if not diagnostics:
+            return value, 0.0
+        tangent = value - self.form(value, point) * point
+        return tangent, float(np.max(np.abs(value - tangent)))
 
     def triple(self, u, v, w):
         """Triple bracket [u, v, w] = B(u, w) v - B(v, w) u."""
@@ -123,37 +144,3 @@ class CurvedSpace(SpaceContract):
             raise NumericalFailure(f"cannot renormalize a point with B(y, y) = {m:.3e}")
         return y / math.sqrt(m)
 
-
-class CurvedChart(Chart):
-    """Chart at a point of a CurvedSpace: stage tangents are ambient vectors there."""
-
-    def __init__(self, space: CurvedSpace, base):
-        self.space = space
-        self.base = base
-        self.stage_limit = space.stage_limit
-
-    def stage(self, theta):
-        return self.space.stage(theta)
-
-    def exp(self, theta, data):
-        return self.space.exp(self.base, theta, data)
-
-    def at_base(self, value):
-        return value
-
-    def tangent(self, theta, data, value, coefficients):
-        space = self.space
-        w = space.transport(space.exp(self.base, theta, data, 0.5), value)
-        if coefficients is None:
-            return space.dexpinv(theta, data, w)
-        # ad^2_theta = [., theta, theta] is -m on the part of w B-normal to
-        # theta and 0 on theta itself, so the series is one scalar there.
-        m = data[0]
-        tail = dexpinv_series_tail(coefficients, -m)
-        return w + tail * (w - (space.form(theta, w) / m) * theta)
-
-    def field_value(self, point, value, diagnostics: bool):
-        if not diagnostics:
-            return value, 0.0
-        tangent = value - self.space.form(value, point) * point
-        return tangent, float(np.max(np.abs(value - tangent)))

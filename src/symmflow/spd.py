@@ -2,8 +2,8 @@
 
 The natural base point is the identity, where tangents are plain symmetric
 matrices, the geodesic exponential is the matrix exponential, and the triple
-bracket is a quarter of the nested commutator. The SPD chart therefore keeps
-its coordinates at I and pulls the equation back through the displacement
+bracket is a quarter of the nested commutator. `SPD` therefore keeps its
+stage coordinates at I and pulls the equation back through the displacement
 y -> s y s with s = sqrt(y_l), computed once per step:
 
     K_i  = h exp(-theta_i/2) s^{-1} F(s exp(theta_i) s) s^{-1} exp(-theta_i/2)
@@ -11,14 +11,15 @@ y -> s y s with s = sqrt(y_l), computed once per step:
     y_next = s exp(sum_j b_j Kt_j) s
 
 Every theta_i is symmetric, so one eigendecomposition theta_i = V diag(w) V^T,
-the chart's stage data, gives exp(theta_i), and in its basis both maps of
-the stage tangent are entrywise: with P = s^{-1} V diag(e^{-w/2}),
+the stage's data, gives exp(theta_i), and in its basis both maps of the
+stage tangent are entrywise: with P = s^{-1} V diag(e^{-w/2}),
 
     Kt_i = V [(P^T h F P) o G] V^T,   G_jk = 1 + sum_n c_n x_jk^n,
     x_jk = (w_j - w_k)^2 / 4,
 
 the eigenvalues of ad^2_theta_i (o is the entrywise product). One
-eigendecomposition of y_l gives s and s^{-1}. A zero stage needs none, and
+eigendecomposition of y_l gives s and s^{-1}, the step's base data
+(y_l, s, s^{-1}). A zero stage needs none, and
 the Exp of a zero update is y_l itself. All products of symmetric factors
 are re-symmetrized to suppress round-off drift, so SPD-ness of the output
 is structural.
@@ -30,7 +31,7 @@ import math
 
 import numpy as np
 
-from .core import Chart, SpaceContract, dexpinv_series_tail, require_ndarray
+from .core import SpaceContract, dexpinv_series_tail, require_ndarray
 from .errors import DimensionMismatch, NonPositiveDefinite, NotOnManifold, SymmetryViolation
 from .linalg import require_positive_definite, sym_eig, symmetrize
 
@@ -82,44 +83,48 @@ def _check_symmetric_field(value) -> float:
     return skew
 
 
-class SpdChart(Chart):
-    """Chart at an SPD matrix y with coordinates at the identity.
+class SpdSpace(SpaceContract):
+    """SPD matrices for the stepper, with stage coordinates at the identity.
 
-    Points and field values move between y and I through s = sqrt(y), taken
-    once when the chart is built; a non-SPD y raises NonPositiveDefinite.
-    The stage data of a non-zero theta is its eigendecomposition (w, V),
-    which gives exp(theta) and the stage tangent; a zero stage takes none,
-    and its Exp is y itself. `spd.ad2` is not called on the stage path: it
-    stays as the tests' independent route to the series.
+    Points and field values move between y and I through s = sqrt(y), which
+    `base` takes once per step with s^{-1}; a non-SPD y raises
+    NonPositiveDefinite. The stage data of a non-zero theta is its
+    eigendecomposition (w, V), which gives exp(theta) and the stage tangent;
+    a zero stage takes none, and its Exp is y itself. `spd.ad2` is not
+    called on the stage path: it stays as the tests' independent route to
+    the series.
     """
 
-    def __init__(self, y):
-        self.base = y
-        self.s, self.s_inv = sqrt_pair(y)
+    def base(self, y):
+        s, s_inv = sqrt_pair(y)
+        return y, s, s_inv
 
     def stage(self, theta):
         phi = math.sqrt(float(np.vdot(theta, theta)))
         return phi, (sym_eig(theta) if 0.0 < phi < math.inf else None)
 
-    def exp(self, theta, data):
+    def exp(self, base, theta, data):
+        y, s, _ = base
         if data is None:
-            return self.base
+            return y
         w, v = data
-        sv = self.s @ v
+        sv = s @ v
         return symmetrize((sv * np.exp(w)) @ sv.T)
 
-    def at_base(self, value):
-        return symmetrize(self.s_inv @ value @ self.s_inv)
+    def at_base(self, base, value):
+        _, _, s_inv = base
+        return symmetrize(s_inv @ value @ s_inv)
 
-    def tangent(self, theta, data, value, coefficients):
+    def tangent(self, base, theta, data, value, coefficients):
         if coefficients is None:
             raise NotImplementedError("SPD's dExp^{-1} is the truncated series")
         # In the eigenbasis of theta = V diag(w) V^T the pullback
         # exp(-theta/2) s^-1 F s^-1 exp(-theta/2) is P^T F P with
         # P = s^-1 V diag(e^{-w/2}), and ad^2_theta scales entry (i, j) by
         # x_ij = (w_i - w_j)^2 / 4, so the series is a Hadamard factor.
+        _, _, s_inv = base
         w, v = data
-        p = (self.s_inv @ v) * np.exp(-0.5 * w)
+        p = (s_inv @ v) * np.exp(-0.5 * w)
         k = p.T @ value @ p
         if coefficients:
             d = w[:, None] - w
@@ -131,13 +136,6 @@ class SpdChart(Chart):
         if diagnostics:
             return symmetrize(value), skew
         return value, 0.0
-
-
-class SpdSpace(SpaceContract):
-    """SPD matrices for the stepper: the fixed-base scheme as a chart."""
-
-    def chart(self, y) -> SpdChart:
-        return SpdChart(y)
 
     def check_point(self, y) -> None:
         require_ndarray(y, 2)

@@ -132,12 +132,12 @@ def test_criterion_8_generic_specialized_agreement():
     y = np.array([0.6, 0.0, 0.8])
     worst = 0.0
     for _ in range(100):
-        via_chart, _ = cssi_step(sphere.SPHERE, tableau, field, y, 0.05)
+        via_step, _ = cssi_step(sphere.SPHERE, tableau, field, y, 0.05)
         via_ambient = ambient_step("sphere", tableau, field, y, 0.05)
-        worst = max(worst, float(np.max(np.abs(via_chart - via_ambient))))
-        y = via_chart
+        worst = max(worst, float(np.max(np.abs(via_step - via_ambient))))
+        y = via_step
     assert worst <= 1e-13
-    _report(8, f"chart and ambient matrix-exponential steps agree to {worst:.1e} per step")
+    _report(8, f"stepper and ambient matrix-exponential steps agree to {worst:.1e} per step")
 
 
 def test_criterion_9_step_guard():

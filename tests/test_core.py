@@ -6,7 +6,6 @@ import pytest
 from symmflow import hyperbolic, spd, sphere
 from symmflow.checks import ambient_step
 from symmflow.core import (
-    DexpinvSeries,
     StepRecord,
     cssi_step,
     dexpinv_coefficients,
@@ -14,6 +13,7 @@ from symmflow.core import (
     integrate,
     lts_axiom_residuals,
     march,
+    order_matched_terms,
     triple_bracket_oracle,
 )
 from symmflow.errors import (
@@ -38,20 +38,18 @@ class TestSeriesCoefficients:
         assert abs(dexpinv_coefficients(4)[3] - 127.0 / 604800.0) < 1e-20
 
     def test_zero_terms_is_identity(self):
-        series = DexpinvSeries.with_terms(0)
         w = np.array([1.0, 2.0])
-        assert dexpinv_series_apply(series, lambda x: x, w) is w
+        assert dexpinv_series_apply(dexpinv_coefficients(0), lambda x: x, w) is w
 
     def test_vanishing_double_bracket_is_identity(self):
-        series = DexpinvSeries.with_terms(5)
         w = np.array([1.0, -2.0, 3.0])
-        out = dexpinv_series_apply(series, lambda x: np.zeros_like(x), w)
+        out = dexpinv_series_apply(dexpinv_coefficients(5), lambda x: np.zeros_like(x), w)
         assert np.array_equal(out, w)
 
     def test_order_matched_truncation(self):
-        assert DexpinvSeries.for_order(1).truncation_terms == 0
-        assert DexpinvSeries.for_order(2).truncation_terms == 1
-        assert DexpinvSeries.for_order(4).truncation_terms == 2
+        assert order_matched_terms(1) == 0
+        assert order_matched_terms(2) == 1
+        assert order_matched_terms(4) == 2
 
     def test_truncation_gap_scales_with_eighth_power(self):
         # Difference between 3 and 8 retained terms is led by the x^4 term,
@@ -63,8 +61,8 @@ class TestSeriesCoefficients:
         def gap(scale):
             theta = scale * theta_dir
             ad2 = lambda x: spd.ad2(theta, x)
-            a = dexpinv_series_apply(DexpinvSeries.with_terms(3), ad2, w)
-            b = dexpinv_series_apply(DexpinvSeries.with_terms(8), ad2, w)
+            a = dexpinv_series_apply(dexpinv_coefficients(3), ad2, w)
+            b = dexpinv_series_apply(dexpinv_coefficients(8), ad2, w)
             return float(np.max(np.abs(a - b)))
 
         ratio = gap(0.1) / gap(0.05)

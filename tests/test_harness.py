@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from symmflow import cli
 from symmflow.cli import main
 from symmflow.errors import ReferenceUnavailable
 from symmflow.harness import (
@@ -114,6 +116,12 @@ class TestRunProblem:
         with pytest.warns(UserWarning):
             run_problem(problem, "rk4", 0.3)
 
+    @pytest.mark.parametrize("h", [-0.1, 0.0, math.nan, math.inf])
+    def test_bad_step_size_rejected_before_the_first_step(self, h):
+        problem = build_problem("sphere", "rotation", T=1.0)
+        with pytest.raises(ValueError, match="step size h"):
+            run_problem(problem, "rk4", h)
+
     def test_summary_contents(self):
         problem = build_problem("sphere", "rotation", T=1.0)
         _, _, summary = run_problem(problem, "rk4", 0.05)
@@ -202,6 +210,12 @@ class TestConverge:
         problem = build_problem("sphere", "rotation", T=1.0)
         with pytest.raises(ValueError):
             converge(problem, "rk4", [0.3, 0.15])
+
+    @pytest.mark.parametrize("bad", [-0.05, 0.0, math.nan, math.inf])
+    def test_bad_step_size_rejected(self, bad):
+        problem = build_problem("sphere", "rotation", T=1.0)
+        with pytest.raises(ValueError, match="step size h"):
+            converge(problem, "rk4", [0.1, 0.05, bad])
 
     def test_report_validation(self):
         with pytest.raises(ValueError):
@@ -319,3 +333,67 @@ class TestCli:
         )
         assert code == 1
         assert "at step" in capsys.readouterr().err
+
+
+RUN_ROTATION = ["run", "--space", "sphere", "--problem", "rotation", "--h", "0.1"]
+
+
+class TestCliInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--space", "sphere", "--problem", "nope", "--h", "0.1"],
+            ["run", "--space", "sphere", "--problem", "rigid_body", "--dim", "3", "--h", "0.1"],
+            RUN_ROTATION + ["--T", "-1"],
+            RUN_ROTATION[:-1] + ["-0.1"],
+            RUN_ROTATION[:-1] + ["0"],
+            RUN_ROTATION[:-1] + ["nan"],
+            ["converge", "--space", "sphere", "--problem", "rotation", "--h-list", "0.3,0.1"],
+            ["converge", "--space", "sphere", "--problem", "rotation", "--h-list", "0.1,x"],
+        ],
+    )
+    def test_bad_input_prints_one_error_line(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("raw", ["2.7", "-1", "x", "", "1e3", "\u00b2"])
+    def test_bad_dexpinv_terms_flag(self, raw, capsys):
+        assert main(RUN_ROTATION + ["--dexpinv-terms", raw]) == 1
+        assert capsys.readouterr().err.startswith("error: dexpinv_terms")
+
+    @pytest.mark.parametrize("raw", [2.7, True, False, -1, "-1", "x", [2]])
+    def test_bad_dexpinv_terms_config(self, raw, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"dexpinv_terms": raw}))
+        assert main(RUN_ROTATION + ["--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("error: dexpinv_terms")
+
+    @pytest.mark.parametrize(
+        "form, raw, terms",
+        [
+            ("flag", "auto", None),
+            ("flag", "0", 0),
+            ("flag", "3", 3),
+            ("config", "auto", None),
+            ("config", None, None),
+            ("config", "3", 3),
+            ("config", 3, 3),
+        ],
+    )
+    def test_dexpinv_terms_reach_the_run(self, form, raw, terms, tmp_path, monkeypatch):
+        seen = []
+        real = cli.run_problem
+        monkeypatch.setattr(
+            cli, "run_problem", lambda *a, **k: seen.append(k["dexpinv_terms"]) or real(*a, **k)
+        )
+        if form == "flag":
+            argv = RUN_ROTATION + ["--dexpinv-terms", raw]
+        else:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"dexpinv_terms": raw}))
+            argv = RUN_ROTATION + ["--config", str(config)]
+        assert main(argv) == 0
+        assert seen == [terms]

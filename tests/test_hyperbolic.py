@@ -223,7 +223,7 @@ class TestTriple:
 
 
 class TestChiStepper:
-    """The chart-based stepper on the hyperboloid."""
+    """The stepper on the hyperboloid."""
 
     def test_zero_field_constant_trajectory(self):
         t = builtin_tableau("rk4")
@@ -258,10 +258,10 @@ class TestChiStepper:
         t = builtin_tableau("rk4")
         y = O2
         for _ in range(25):
-            via_chart, _ = cssi_step(hyperbolic.HYPERBOLOID, t, field, y, 0.05)
+            via_step, _ = cssi_step(hyperbolic.HYPERBOLOID, t, field, y, 0.05)
             via_ambient = ambient_step("hyperbolic", t, field, y, 0.05)
-            assert np.max(np.abs(via_chart - via_ambient)) <= 1e-13
-            y = via_chart
+            assert np.max(np.abs(via_step - via_ambient)) <= 1e-13
+            y = via_step
 
     def test_upper_sheet_time_coordinate(self):
         gen = elliptic_generator(boost=0.5)
@@ -272,7 +272,7 @@ class TestChiStepper:
 
 
 class TestChartStageCache:
-    """The chart's Exp-time guards; it keeps no stage state between calls."""
+    """The space's Exp-time guards; it keeps no stage state between calls."""
 
     @pytest.mark.parametrize(
         "theta, error",
@@ -286,18 +286,18 @@ class TestChartStageCache:
         for fn in (hyperbolic.exp_point, hyperbolic.exp_half):
             with pytest.raises(error):
                 fn(O2, theta)
-        chart = hyperbolic.HYPERBOLOID.chart(O2)
+        space = hyperbolic.HYPERBOLOID
+        base = space.base(O2)
         checked = np.array([0.1, 0.0, 0.0])
-        chart.exp(checked, chart.stage(checked)[1])
-        _, data = chart.stage(theta)
+        space.exp(base, checked, space.stage(checked)[1])
+        _, data = space.stage(theta)
         for _ in range(2):
             with pytest.raises(error):
-                chart.exp(theta, data)
+                space.exp(base, theta, data)
             for coefficients in (None, (-1.0 / 6.0,)):
                 with pytest.raises(error):
-                    chart.tangent(theta, data, np.ones(3), coefficients)
+                    space.tangent(base, theta, data, np.ones(3), coefficients)
         w = np.array([0.0, 1.0, 0.0])
-        space = hyperbolic.HYPERBOLOID
         assert space.dexpinv(theta, data, w).tobytes() == hyperbolic.dexpinv(theta, w).tobytes()
 
 

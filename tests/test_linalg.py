@@ -125,7 +125,7 @@ class TestSpdSqrt:
     @pytest.mark.parametrize("scale", [1.0, 1e6])
     def test_one_positive_definiteness_floor(self, scale):
         # The smallest eigenvalue must exceed 1e-13 * max|a| for the square
-        # root, the inverse, a chart's sqrt_pair and integrate's y0 check.
+        # root, the inverse, a step's sqrt_pair and integrate's y0 check.
         low = np.diag([scale, 0.5e-13 * scale])
         high = np.diag([scale, 2e-13 * scale])
         for fn in (spd_sqrt, spd_inv, sqrt_pair):

@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 from symmflow import spd
 from symmflow.checks import ambient_step
 from symmflow.core import (
-    DexpinvSeries,
     cssi_step,
+    dexpinv_coefficients,
     dexpinv_series_apply,
     integrate,
     lts_axiom_residuals,
+    order_matched_terms,
 )
 from symmflow.errors import (
     DimensionMismatch,
@@ -95,7 +96,7 @@ class TestTripleAndAd2:
 
 
 class TestSqrtUpdate:
-    """The square root a chart takes of its base point (`sqrt_pair`)."""
+    """The square root a step takes of its base point (`sqrt_pair`)."""
 
     def test_identity(self):
         assert np.max(np.abs(spd.sqrt_pair(np.eye(3))[0] - np.eye(3))) < 1e-14
@@ -117,7 +118,7 @@ class TestSqrtUpdate:
 
 
 class TestCsgiStep:
-    """The chart-based stepper on SPD matrices."""
+    """The stepper on SPD matrices."""
 
     def test_zero_field_fixed_point(self):
         rng = np.random.default_rng(67)
@@ -173,8 +174,8 @@ class TestCsgiStep:
             theta = scale * theta_dir
             w = scale * w_dir
             ad2 = lambda x: spd.ad2(theta, x)
-            a = dexpinv_series_apply(DexpinvSeries.with_terms(1), ad2, w)
-            b = dexpinv_series_apply(DexpinvSeries.with_terms(3), ad2, w)
+            a = dexpinv_series_apply(dexpinv_coefficients(1), ad2, w)
+            b = dexpinv_series_apply(dexpinv_coefficients(3), ad2, w)
             return float(np.max(np.abs(a - b)))
 
         ratio = gap(0.2) / gap(0.1)
@@ -193,7 +194,7 @@ class TestCsgiStep:
 
 
 class TestRebasedContract:
-    """The SPD chart against ambient routes that take no square root."""
+    """The SPD space against ambient routes that take no square root."""
 
     def test_generic_step_matches_fixed_base_step(self):
         rng = np.random.default_rng(71)
@@ -201,28 +202,28 @@ class TestRebasedContract:
         field = double_bracket_field(np.diag([1.0, 2.0, 3.0]))
         t = builtin_tableau("rk4")
         for _ in range(10):
-            via_chart, _ = cssi_step(spd.SPD, t, field, y, 0.01, dexpinv_terms=2)
+            via_step, _ = cssi_step(spd.SPD, t, field, y, 0.01, dexpinv_terms=2)
             via_ambient = ambient_step("spd", t, field, y, 0.01, terms=2)
-            assert np.max(np.abs(via_chart - via_ambient)) <= 1e-10
-            y = via_chart
+            assert np.max(np.abs(via_step - via_ambient)) <= 1e-10
+            y = via_step
 
     def test_exp_at_identity_is_matrix_exponential(self):
         rng = np.random.default_rng(72)
         v = spd.random_sym(rng, 3)
-        chart = spd.SPD.chart(np.eye(3))
-        assert np.max(np.abs(chart.exp(v, chart.stage(v)[1]) - mat_exp(v))) <= 1e-12
+        base = spd.SPD.base(np.eye(3))
+        assert np.max(np.abs(spd.SPD.exp(base, v, spd.SPD.stage(v)[1]) - mat_exp(v))) <= 1e-12
 
     def test_triple_at_identity_reduces_to_commutators(self):
         # A one-term series with c_1 = 1 adds exactly ad^2_theta of the
-        # pulled-back value, which the chart applies in the eigenbasis.
+        # pulled-back value, which the space applies in the eigenbasis.
         rng = np.random.default_rng(73)
         theta, value = (spd.random_sym(rng, 3) for _ in range(2))
-        chart = spd.SPD.chart(np.eye(3))
-        data = chart.stage(theta)[1]
-        w = chart.tangent(theta, data, value, ())
+        base = spd.SPD.base(np.eye(3))
+        data = spd.SPD.stage(theta)[1]
+        w = spd.SPD.tangent(base, theta, data, value, ())
         c = w @ theta - theta @ w
         by_hand = 0.25 * (c @ theta - theta @ c)
-        gap = np.max(np.abs(chart.tangent(theta, data, value, (1.0,)) - w - by_hand))
+        gap = np.max(np.abs(spd.SPD.tangent(base, theta, data, value, (1.0,)) - w - by_hand))
         assert gap <= 1e-12
 
 
@@ -231,7 +232,7 @@ def _relative_gap(a, b) -> float:
 
 
 class TestChartExponentials:
-    """The chart's eigh-based exp(theta) and stage tangent against Taylor `mat_exp`."""
+    """The eigh-based exp(theta) and stage tangent against Taylor `mat_exp`."""
 
     @staticmethod
     def _draw(seed, n, theta_norm, log10_cond):
@@ -255,20 +256,21 @@ class TestChartExponentials:
     )
     def test_exp_and_pullback_match_taylor_route(self, seed, n, theta_norm, log10_cond):
         y, theta, value = self._draw(seed, n, theta_norm, log10_cond)
-        chart = spd.SPD.chart(y)
-        phi, data = chart.stage(theta)
+        base = spd.SPD.base(y)
+        _, s, s_inv = base
+        phi, data = spd.SPD.stage(theta)
         assert phi == np.linalg.norm(theta)
         if phi == 0.0:
             # A zero stage takes no decomposition, and its Exp is y itself.
-            assert data is None and chart.exp(theta, data) is y
+            assert data is None and spd.SPD.exp(base, theta, data) is y
             return
-        taylor = symmetrize(chart.s @ mat_exp(theta) @ chart.s)
-        assert _relative_gap(chart.exp(theta, data), taylor) <= 1e-12
+        taylor = symmetrize(s @ mat_exp(theta) @ s)
+        assert _relative_gap(spd.SPD.exp(base, theta, data), taylor) <= 1e-12
 
         # With no series terms the stage tangent is the pullback alone.
         half = mat_exp(-0.5 * theta)
-        taylor = symmetrize(half @ (chart.s_inv @ value @ chart.s_inv) @ half)
-        assert _relative_gap(chart.tangent(theta, data, value, ()), taylor) <= 1e-12
+        taylor = symmetrize(half @ (s_inv @ value @ s_inv) @ half)
+        assert _relative_gap(spd.SPD.tangent(base, theta, data, value, ()), taylor) <= 1e-12
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -282,12 +284,13 @@ class TestChartExponentials:
         # The eigenbasis scaling against the Taylor pullback followed by the
         # series of nested commutators.
         y, theta, value = self._draw(seed, n, theta_norm, log10_cond)
-        chart = spd.SPD.chart(y)
-        series = DexpinvSeries.with_terms(terms)
-        got = chart.tangent(theta, chart.stage(theta)[1], value, series.coefficients)
+        base = spd.SPD.base(y)
+        s_inv = base[2]
+        coefficients = dexpinv_coefficients(terms)
+        got = spd.SPD.tangent(base, theta, spd.SPD.stage(theta)[1], value, coefficients)
         half = mat_exp(-0.5 * theta)
-        pulled = symmetrize(half @ (chart.s_inv @ value @ chart.s_inv) @ half)
-        want = dexpinv_series_apply(series, lambda w: spd.ad2(theta, w), pulled)
+        pulled = symmetrize(half @ (s_inv @ value @ s_inv) @ half)
+        want = dexpinv_series_apply(coefficients, lambda w: spd.ad2(theta, w), pulled)
         assert _relative_gap(got, want) <= 1e-12
 
     def test_rk4_step_takes_five_decompositions(self, monkeypatch):
@@ -321,10 +324,10 @@ def test_default_step_matches_ambient_step(method, n, seed, h):
     y = spd.random_spd(rng, n)
     field = double_bracket_field(spd.random_sym(rng, n, scale=3.0))
     t = builtin_tableau(method)
-    terms = DexpinvSeries.for_order(t.declared_order).truncation_terms
-    via_chart, _ = cssi_step(spd.SPD, t, field, y, h)
+    terms = order_matched_terms(t.declared_order)
+    via_step, _ = cssi_step(spd.SPD, t, field, y, h)
     via_ambient = ambient_step("spd", t, field, y, h, terms=terms)
-    assert np.max(np.abs(via_chart - via_ambient)) <= 1e-12 * np.max(np.abs(y))
+    assert np.max(np.abs(via_step - via_ambient)) <= 1e-12 * np.max(np.abs(y))
 
 
 # sha256 of the trajectory bytes of double_bracket n = 4 seed 42, h = 0.01 to
