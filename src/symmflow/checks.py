@@ -11,17 +11,27 @@ Three groups, each a list of (name, worst residual, bound) comparisons:
   composition with the forward differential, the Bernoulli-number series,
   and the library's step against `ambient_step`, an explicit step built
   from those ambient routes alone.
+
+Each kind of check is one loop over `GEOMETRIES`, a table with one
+`Geometry` row per space; what differs between geometries is a column of
+the row. A new geometry joins `symmflow check` as one row, filling the
+columns of each suite it fits. Identities that belong to one geometry
+alone (reflection composition, boosts, the SPD pullback) stay written out.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from types import ModuleType
+from typing import Callable
 
 import numpy as np
 
-from . import hyperbolic, sphere
+from . import hyperbolic, spd, sphere
 from .core import (
+    SpaceContract,
     cssi_step,
     dexpinv_coefficients,
     dexpinv_series_apply,
@@ -30,8 +40,6 @@ from .core import (
 )
 from .linalg import mat_exp, minkowski, spd_inv, spd_sqrt, symmetrize
 from .spd import SPD, random_spd, random_sym
-from .spd import ad2 as spd_ad2
-from .spd import triple as spd_triple
 from .tableau import builtin_tableau
 
 
@@ -47,28 +55,18 @@ class CheckResult:
         return self.worst <= self.bound
 
 
-def dexp_forward_sphere(theta, w):
-    """Forward differential of the sphere exponential (oracle side).
+def dexp_forward(theta, w, form, kappa, s):
+    """Forward differential of Exp on a constant-curvature space (oracle side).
 
-    Scales the component of w normal to theta by sin(phi)/phi; inverse of
-    `sphere.dexpinv` by construction of the shared eigenstructure.
+    With m = B(theta, theta) = kappa phi^2, scales the part of w B-normal to
+    theta by S(phi)/phi, for (form, kappa, s) = (B, kappa, S): the inverse of
+    `dexpinv` by construction of the shared eigenstructure.
     """
-    phi2 = float(theta @ theta)
-    if phi2 == 0.0:
+    m = form(theta, theta)
+    if kappa * m <= 0.0:
         return w
-    phi = math.sqrt(phi2)
-    normal = w - (float(theta @ w) / phi2) * theta
-    return w + (math.sin(phi) / phi - 1.0) * normal
-
-
-def dexp_forward_hyperbolic(theta, w):
-    """Forward differential on the hyperboloid: sinh(phi)/phi on the normal part."""
-    phi2 = -minkowski(theta, theta)
-    if phi2 <= 0.0:
-        return w
-    phi = math.sqrt(phi2)
-    normal = w + (minkowski(theta, w) / phi2) * theta
-    return w + (math.sinh(phi) / phi - 1.0) * normal
+    phi = math.sqrt(kappa * m)
+    return w + (s(phi) / phi - 1.0) * (w - (form(theta, w) / m) * theta)
 
 
 def ambient_step(space: str, tableau, field, y, h: float, terms: int = 10):
@@ -100,8 +98,7 @@ def ambient_step(space: str, tableau, field, y, h: float, terms: int = 10):
     else:
         module = {"sphere": sphere, "hyperbolic": hyperbolic}[space]
 
-        def hat(v):
-            return module.hat_matrix(y, v)
+        hat = partial(module.hat_matrix, y)
 
         def exp(v):
             return mat_exp(hat(v)) @ y
@@ -127,57 +124,86 @@ def ambient_step(space: str, tableau, field, y, h: float, terms: int = 10):
     return exp(theta)
 
 
+@dataclass(frozen=True)
+class Geometry:
+    """One row of `GEOMETRIES`. `tangents(rng)` draws a base point and returns
+    a draw of random tangents there; `step` is (name, field, start(seed), h,
+    steps, stepper terms, oracle terms, bound) of the comparison with
+    `ambient_step`. A `module` of closed forms (the constant-curvature spaces)
+    adds the identity and closed-form checks, with `forms` = (B, kappa, S)
+    and `round_trip_theta(rng, base, theta)`, the dExp^{-1} round trip's."""
+
+    name: str
+    space: SpaceContract
+    triple: Callable
+    tangents: Callable
+    step: tuple
+    module: ModuleType | None = None
+    forms: tuple = ()
+    round_trip_theta: Callable | None = None
+
+
+def _curved(name, module, space, forms, round_trip_theta, step) -> Geometry:
+    tangents = lambda rng: partial(module.random_tangent, rng, module.random_point(rng, 4))
+    return Geometry(name, space, module.triple, tangents, step, module, forms, round_trip_theta)
+
+
+_INV_INERTIA = np.array([1.0, 0.5, 1.0 / 3.0])
+_BOOST_GEN = np.array([[0.0, -1.0, 0.3], [1.0, 0.0, 0.0], [0.3, 0.0, 0.0]])
+_TARGET = np.diag([1.0, 2.0, 3.0])
+
+
+def _double_bracket(p):
+    inner = p @ _TARGET - _TARGET @ p
+    return p @ inner - inner @ p
+
+
+GEOMETRIES = (
+    _curved(
+        "sphere", sphere, sphere.SPHERE, (lambda u, v: float(u @ v), 1.0, math.sin),
+        # Below the conjugate point phi = pi, where dExp^{-1} blows up.
+        lambda rng, base, _: sphere.random_tangent(rng, base, scale=rng.uniform(0.05, 2.8)),
+        ("generic vs specialized (sphere)", lambda p: np.cross(p, _INV_INERTIA * p),
+         lambda _: np.array([0.6, 0.0, 0.8]), 0.05, 50, None, 10, 1e-13),
+    ),
+    _curved(
+        "hyperbolic", hyperbolic, hyperbolic.HYPERBOLOID, (minkowski, -1.0, math.sinh),
+        lambda rng, base, theta: theta,
+        ("generic vs specialized (hyperbolic)", lambda p: _BOOST_GEN @ p,
+         lambda _: hyperbolic.base_point(2), 0.05, 50, None, 10, 1e-13),
+    ),
+    Geometry(
+        "spd", SPD, spd.triple, lambda rng: partial(random_sym, rng, 4),
+        ("rebased vs fixed-base (spd)", _double_bracket,
+         lambda seed: random_spd(np.random.default_rng(seed + 1), 3), 0.01, 10, 2, 2, 1e-10),
+    ),
+)
+CURVED = tuple(g for g in GEOMETRIES if g.module is not None)
+_CLOSED_FORMS = (("Exp vs matrix exponential", 1e-12), ("triple vs commutators", 1e-12),
+                 ("dexpinv round trip", 1e-13))
+
+
 def identity_suite(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
 
     # Exponentials at zero return the base point bitwise.
-    y = sphere.random_point(rng, 4)
-    out.append(
-        CheckResult(
-            "identity",
-            "sphere Exp(0) = base",
-            float(np.max(np.abs(sphere.exp_point(y, np.zeros_like(y)) - y))),
-            0.0,
-        )
-    )
-    z = hyperbolic.random_point(rng, 4)
-    out.append(
-        CheckResult(
-            "identity",
-            "hyperbolic Exp(0) = base",
-            float(np.max(np.abs(hyperbolic.exp_point(z, np.zeros_like(z)) - z))),
-            0.0,
-        )
-    )
+    bases = [g.module.random_point(rng, 4) for g in CURVED]
+    for g, y in zip(CURVED, bases):
+        worst = float(np.max(np.abs(g.module.exp_point(y, np.zeros_like(y)) - y)))
+        out.append(CheckResult("identity", f"{g.name} Exp(0) = base", worst, 0.0))
 
     # Transport and the inverse differential reduce to the identity at 0.
-    w = sphere.random_tangent(rng, y)
-    out.append(
-        CheckResult(
-            "identity",
-            "sphere transport/dexpinv at 0",
-            max(
-                float(np.max(np.abs(sphere.transport_inv(y, w) - w))),
-                float(np.max(np.abs(sphere.dexpinv(np.zeros_like(y), w) - w))),
-            ),
-            1e-15,
+    for g, y in zip(CURVED, bases):
+        w = g.module.random_tangent(rng, y)
+        worst = max(
+            float(np.max(np.abs(g.module.transport_inv(y, w) - w))),
+            float(np.max(np.abs(g.module.dexpinv(np.zeros_like(y), w) - w))),
         )
-    )
-    wz = hyperbolic.random_tangent(rng, z)
-    out.append(
-        CheckResult(
-            "identity",
-            "hyperbolic transport/dexpinv at 0",
-            max(
-                float(np.max(np.abs(hyperbolic.transport_inv(z, wz) - wz))),
-                float(np.max(np.abs(hyperbolic.dexpinv(np.zeros_like(z), wz) - wz))),
-            ),
-            1e-15,
-        )
-    )
+        out.append(CheckResult("identity", f"{g.name} transport/dexpinv at 0", worst, 1e-15))
 
     # Reflection through the geodesic midpoint sends the base to the endpoint.
+    y = bases[0]  # the sphere's
     worst = 0.0
     for _ in range(20):
         theta = sphere.random_tangent(rng, y, scale=rng.uniform(0.1, 3.0))
@@ -189,23 +215,17 @@ def identity_suite(seed: int = 0) -> list[CheckResult]:
 
     # Lorentz boosts: symmetric, unit determinant, base point lands on the
     # hyperboloid, and the squared boost equals the displacement matrix.
-    worst_boost = 0.0
-    worst_q = 0.0
+    worst_boost = worst_q = 0.0
     o = hyperbolic.base_point(3)
     for _ in range(20):
         s_spatial = rng.standard_normal(3)
         boost = hyperbolic.lorentz_boost(s_spatial)
         point = boost @ o
         worst_boost = max(
-            worst_boost,
-            float(np.max(np.abs(boost - boost.T))),
-            abs(float(np.linalg.det(boost)) - 1.0),
-            abs(minkowski(point, point) - 1.0),
+            worst_boost, float(np.max(np.abs(boost - boost.T))),
+            abs(float(np.linalg.det(boost)) - 1.0), abs(minkowski(point, point) - 1.0),
         )
-        worst_q = max(
-            worst_q,
-            float(np.max(np.abs(hyperbolic.quadratic(point) - boost @ boost))),
-        )
+        worst_q = max(worst_q, float(np.max(np.abs(hyperbolic.quadratic(point) - boost @ boost))))
     out.append(CheckResult("identity", "hyperbolic boost factorization", worst_boost, 1e-10))
     out.append(CheckResult("identity", "hyperbolic Q = boost squared", worst_q, 1e-10))
 
@@ -226,53 +246,29 @@ def identity_suite(seed: int = 0) -> list[CheckResult]:
 
     # Zero fields leave every stepper exactly in place.
     tableau = builtin_tableau("rk4")
-    zero3 = lambda p: np.zeros_like(p)
-    y1, _ = cssi_step(sphere.SPHERE, tableau, zero3, y, 0.5)
-    z1, _ = cssi_step(hyperbolic.HYPERBOLOID, tableau, zero3, z, 0.5)
-    worst = max(float(np.max(np.abs(y1 - y))), float(np.max(np.abs(z1 - z))))
+    zero = lambda p: np.zeros_like(p)
+    worst = max(float(np.max(np.abs(cssi_step(g.space, tableau, zero, y, 0.5)[0] - y)))
+                for g, y in zip(CURVED, bases))
     yspd = random_spd(rng, 3)
-    s1, _ = cssi_step(SPD, tableau, lambda p: np.zeros_like(p), yspd, 0.5)
+    s1, _ = cssi_step(SPD, tableau, zero, yspd, 0.5)
     out.append(CheckResult("identity", "zero-field fixed points", worst, 0.0))
-    out.append(
-        CheckResult(
-            "identity",
-            "spd zero-field fixed point",
-            float(np.max(np.abs(s1 - yspd))),
-            1e-12,
-        )
-    )
+    worst = float(np.max(np.abs(s1 - yspd)))
+    out.append(CheckResult("identity", "spd zero-field fixed point", worst, 1e-12))
     return out
 
 
 def lts_suite(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
-
-    base = sphere.random_point(rng, 4)
-    worst = [0.0, 0.0, 0.0]
-    for _ in range(50):
-        args = [sphere.random_tangent(rng, base) for _ in range(5)]
-        for i, r in enumerate(lts_axiom_residuals(sphere.triple, *args)):
-            worst[i] = max(worst[i], r)
-    for i, label in enumerate(("alternating", "cyclic", "derivation")):
-        out.append(CheckResult("lts", f"sphere {label}", worst[i], 1e-12))
-
-    base = hyperbolic.random_point(rng, 4)
-    worst = [0.0, 0.0, 0.0]
-    for _ in range(50):
-        args = [hyperbolic.random_tangent(rng, base) for _ in range(5)]
-        for i, r in enumerate(lts_axiom_residuals(hyperbolic.triple, *args)):
-            worst[i] = max(worst[i], r)
-    for i, label in enumerate(("alternating", "cyclic", "derivation")):
-        out.append(CheckResult("lts", f"hyperbolic {label}", worst[i], 1e-12))
-
-    worst = [0.0, 0.0, 0.0]
-    for _ in range(50):
-        args = [random_sym(rng, 4) for _ in range(5)]
-        for i, r in enumerate(lts_axiom_residuals(spd_triple, *args)):
-            worst[i] = max(worst[i], r)
-    for i, label in enumerate(("alternating", "cyclic", "derivation")):
-        out.append(CheckResult("lts", f"spd {label}", worst[i], 1e-12))
+    for g in GEOMETRIES:
+        draw = g.tangents(rng)
+        worst = [0.0, 0.0, 0.0]
+        for _ in range(50):
+            args = [draw() for _ in range(5)]
+            for i, r in enumerate(lts_axiom_residuals(g.triple, *args)):
+                worst[i] = max(worst[i], r)
+        for i, label in enumerate(("alternating", "cyclic", "derivation")):
+            out.append(CheckResult("lts", f"{g.name} {label}", worst[i], 1e-12))
     return out
 
 
@@ -280,78 +276,29 @@ def oracle_suite(seed: int = 0, samples: int = 100) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
 
-    # Sphere: closed forms against the ambient matrix routes.
-    worst_exp = worst_triple = worst_dexp = 0.0
-    for _ in range(samples):
-        n = int(rng.integers(2, 9))
-        base = sphere.random_point(rng, n)
-        hat = lambda v, b=base: sphere.hat_matrix(b, v)
-        theta = sphere.random_tangent(rng, base, scale=rng.uniform(0.05, 3.0))
-        worst_exp = max(
-            worst_exp,
-            float(
-                np.max(np.abs(sphere.exp_point(base, theta) - mat_exp(hat(theta)) @ base))
-            ),
-        )
-        u, v, w = (sphere.random_tangent(rng, base) for _ in range(3))
-        worst_triple = max(
-            worst_triple,
-            float(
-                np.max(
-                    np.abs(
-                        sphere.triple(u, v, w) - triple_bracket_oracle(hat, base, u, v, w)
-                    )
-                )
-            ),
-        )
-        theta = sphere.random_tangent(rng, base, scale=rng.uniform(0.05, 2.8))
-        round_trip = sphere.dexpinv(theta, dexp_forward_sphere(theta, w))
-        worst_dexp = max(worst_dexp, float(np.max(np.abs(round_trip - w))))
-    out.append(CheckResult("oracle", "sphere Exp vs matrix exponential", worst_exp, 1e-12))
-    out.append(CheckResult("oracle", "sphere triple vs commutators", worst_triple, 1e-12))
-    out.append(CheckResult("oracle", "sphere dexpinv round trip", worst_dexp, 1e-13))
-
-    # Hyperboloid: same three routes with the Minkowski hat map.
-    worst_exp = worst_triple = worst_dexp = 0.0
-    for _ in range(samples):
-        n = int(rng.integers(2, 9))
-        base = hyperbolic.random_point(rng, n)
-        hat = lambda v, b=base: hyperbolic.hat_matrix(b, v)
-        theta = hyperbolic.random_tangent(rng, base, scale=rng.uniform(0.05, 3.0))
-        worst_exp = max(
-            worst_exp,
-            float(
-                np.max(
-                    np.abs(hyperbolic.exp_point(base, theta) - mat_exp(hat(theta)) @ base)
-                )
-            ),
-        )
-        u, v, w = (hyperbolic.random_tangent(rng, base) for _ in range(3))
-        worst_triple = max(
-            worst_triple,
-            float(
-                np.max(
-                    np.abs(
-                        hyperbolic.triple(u, v, w)
-                        - triple_bracket_oracle(hat, base, u, v, w)
-                    )
-                )
-            ),
-        )
-        round_trip = hyperbolic.dexpinv(theta, dexp_forward_hyperbolic(theta, w))
-        worst_dexp = max(worst_dexp, float(np.max(np.abs(round_trip - w))))
-    out.append(
-        CheckResult("oracle", "hyperbolic Exp vs matrix exponential", worst_exp, 1e-12)
-    )
-    out.append(
-        CheckResult("oracle", "hyperbolic triple vs commutators", worst_triple, 1e-12)
-    )
-    out.append(CheckResult("oracle", "hyperbolic dexpinv round trip", worst_dexp, 1e-13))
+    # Closed forms against the ambient matrix routes.
+    for g in CURVED:
+        module = g.module
+        worst = [0.0, 0.0, 0.0]
+        for _ in range(samples):
+            n = int(rng.integers(2, 9))
+            base = module.random_point(rng, n)
+            hat = partial(module.hat_matrix, base)
+            theta = module.random_tangent(rng, base, scale=rng.uniform(0.05, 3.0))
+            pairs = [(module.exp_point(base, theta), mat_exp(hat(theta)) @ base)]
+            u, v, w = (module.random_tangent(rng, base) for _ in range(3))
+            pairs.append((module.triple(u, v, w), triple_bracket_oracle(hat, base, u, v, w)))
+            theta = g.round_trip_theta(rng, base, theta)
+            pairs.append((module.dexpinv(theta, dexp_forward(theta, w, *g.forms)), w))
+            for i, (closed, oracle) in enumerate(pairs):
+                worst[i] = max(worst[i], float(np.max(np.abs(closed - oracle))))
+        for (label, bound), value in zip(_CLOSED_FORMS, worst):
+            out.append(CheckResult("oracle", f"{g.name} {label}", value, bound))
 
     # Closed-form inverse differentials against the 6-term Bernoulli series.
     six_terms = dexpinv_coefficients(6)
     worst = 0.0
-    for module in (sphere, hyperbolic):
+    for module in (g.module for g in CURVED):
         base = module.random_point(rng, 5)
         for _ in range(samples):
             theta = module.random_tangent(rng, base, scale=0.3)
@@ -365,49 +312,23 @@ def oracle_suite(seed: int = 0, samples: int = 100) -> list[CheckResult]:
     for _ in range(samples):
         theta = random_sym(rng, 4)
         w = random_sym(rng, 4)
-        direct = spd_ad2(theta, w)
-        via_triple = spd_triple(w, theta, theta)
+        direct = spd.ad2(theta, w)
+        via_triple = spd.triple(w, theta, theta)
         worst = max(worst, float(np.max(np.abs(direct - via_triple))))
     out.append(CheckResult("oracle", "spd double bracket forms", worst, 1e-13))
 
     # The stepper against the ambient oracle step.
     tableau = builtin_tableau("rk4")
-    inv_inertia = np.array([1.0, 0.5, 1.0 / 3.0])
-    rb_field = lambda p: np.cross(p, inv_inertia * p)
-    y = np.array([0.6, 0.0, 0.8])
-    worst = 0.0
-    for _ in range(50):
-        via_step, _ = cssi_step(sphere.SPHERE, tableau, rb_field, y, 0.05)
-        via_ambient = ambient_step("sphere", tableau, rb_field, y, 0.05)
-        worst = max(worst, float(np.max(np.abs(via_step - via_ambient))))
-        y = via_step
-    out.append(CheckResult("oracle", "generic vs specialized (sphere)", worst, 1e-13))
-
-    gen = np.zeros((3, 3))
-    gen[:2, :2] = [[0.0, -1.0], [1.0, 0.0]]
-    gen[0, 2] = gen[2, 0] = 0.3
-    lz_field = lambda p: gen @ p
-    z = hyperbolic.base_point(2)
-    worst = 0.0
-    for _ in range(50):
-        via_step, _ = cssi_step(hyperbolic.HYPERBOLOID, tableau, lz_field, z, 0.05)
-        via_ambient = ambient_step("hyperbolic", tableau, lz_field, z, 0.05)
-        worst = max(worst, float(np.max(np.abs(via_step - via_ambient))))
-        z = via_step
-    out.append(CheckResult("oracle", "generic vs specialized (hyperbolic)", worst, 1e-13))
-
-    target = np.diag([1.0, 2.0, 3.0])
-    def db_field(p):
-        inner = p @ target - target @ p
-        return p @ inner - inner @ p
-    yspd = random_spd(np.random.default_rng(seed + 1), 3)
-    worst = 0.0
-    for _ in range(10):
-        via_step, _ = cssi_step(SPD, tableau, db_field, yspd, 0.01, dexpinv_terms=2)
-        via_ambient = ambient_step("spd", tableau, db_field, yspd, 0.01, terms=2)
-        worst = max(worst, float(np.max(np.abs(via_step - via_ambient))))
-        yspd = via_step
-    out.append(CheckResult("oracle", "rebased vs fixed-base (spd)", worst, 1e-10))
+    for g in GEOMETRIES:
+        name, field, start, h, steps, terms, oracle_terms, bound = g.step
+        y = start(seed)
+        worst = 0.0
+        for _ in range(steps):
+            via_step, _ = cssi_step(g.space, tableau, field, y, h, dexpinv_terms=terms)
+            via_ambient = ambient_step(g.name, tableau, field, y, h, terms=oracle_terms)
+            worst = max(worst, float(np.max(np.abs(via_step - via_ambient))))
+            y = via_step
+        out.append(CheckResult("oracle", name, worst, bound))
     return out
 
 

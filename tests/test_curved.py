@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from symmflow import hyperbolic, sphere
-from symmflow.checks import ambient_step, dexp_forward_hyperbolic, dexp_forward_sphere
+from symmflow.checks import ambient_step, dexp_forward
 from symmflow.core import cssi_step, dexpinv_coefficients, dexpinv_series_apply
 from symmflow.curved import PHI_SMALL
 from symmflow.errors import NonSpacelikeTangent, StepTooLarge
@@ -24,7 +24,7 @@ SPACES = {
         lambda base, t: sphere.exp_point(base, 0.5 * t),
         lambda t: float(t @ t),
         sphere.MAX_STAGE_ANGLE,
-        dexp_forward_sphere,
+        lambda t, w: dexp_forward(t, w, lambda u, v: float(u @ v), 1.0, math.sin),
     ),
     "hyperboloid": (
         hyperbolic.HYPERBOLOID,
@@ -33,7 +33,7 @@ SPACES = {
         hyperbolic.exp_half,
         lambda t: minkowski(t, t),
         hyperbolic.MAX_STAGE_RAPIDITY,
-        dexp_forward_hyperbolic,
+        lambda t, w: dexp_forward(t, w, minkowski, -1.0, math.sinh),
     ),
 }
 
