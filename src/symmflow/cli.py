@@ -8,7 +8,8 @@
     symmflow check    [--seed 0]
 
 All flags of `run` and `converge` may instead live in a JSON config file
-given with --config; explicit flags override the file. Exit status is 0 on
+given with --config; explicit flags override the file. Each config value must
+have its flag's type, and a key that names no flag is rejected. Exit status is 0 on
 success, 1 on any failure (including a failing `check` suite); bad input
 and failed runs print one `error:` line.
 """
@@ -69,6 +70,30 @@ def _build_parser():
     return parser
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# The JSON form of each flag's type, as (description, test) by key;
+# `_parse_terms` then reads dexpinv_terms as it reads the flag.
+_STRING = ("a string", lambda v: isinstance(v, str))
+_INTEGER = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_NUMBER = ("a number", _number)
+_CONFIG_TYPES = {
+    "space": _STRING, "problem": _STRING, "method": _STRING, "out": _STRING,
+    "dim": _INTEGER, "seed": _INTEGER, "T": _NUMBER, "h": _NUMBER,
+    "diagnostics": ("true or false", lambda v: isinstance(v, bool)),
+    "dexpinv_terms": (
+        "'auto', null or a non-negative integer",
+        lambda v: v is None or isinstance(v, str) or _INTEGER[1](v),
+    ),
+    "h_list": (
+        "a comma-separated string or a list of numbers",
+        lambda v: isinstance(v, str) or isinstance(v, list) and all(map(_number, v)),
+    ),
+}
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
     """Flags override config-file values, which override built-in defaults."""
     merged = {}
@@ -78,7 +103,16 @@ def _merge_config(args: argparse.Namespace) -> dict:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as err:
             raise SymmflowError(f"could not load config {args.config}: {err}") from err
-        merged.update({key.replace("-", "_"): value for key, value in loaded.items()})
+        if not isinstance(loaded, dict):
+            raise SymmflowError(f"config {args.config} must hold a JSON object")
+        for raw_key, value in loaded.items():
+            key = raw_key.replace("-", "_")
+            if key in ("command", "config") or key not in vars(args):
+                raise SymmflowError(f"unknown key {raw_key!r} in config {args.config}")
+            kind, test = _CONFIG_TYPES[key]
+            if not test(value):
+                raise SymmflowError(f"{key} must be {kind} in config {args.config}: {value!r}")
+            merged[key] = value
     for key, value in vars(args).items():
         if key in ("command", "config"):
             continue

@@ -28,8 +28,8 @@ _REFERENCE_REFINEMENT = 16
 
 
 def _steps_for(T: float, h: float, *, exact_division: bool) -> int:
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"step size h must be finite and > 0: {h}")
+    if not (math.isfinite(h) and h > 0.0 and math.isfinite(T / h)):
+        raise ValueError(f"step size h must be finite and > 0, with T / h finite: {h}")
     n = max(1, round(T / h))
     mismatch = abs(n * h - T)
     if mismatch > 1e-9 * max(T, 1.0):

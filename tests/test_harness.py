@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symmflow import cli
 from symmflow.cli import main
@@ -336,6 +339,33 @@ class TestCli:
 
 
 RUN_ROTATION = ["run", "--space", "sphere", "--problem", "rotation", "--h", "0.1"]
+RUN_LORENTZ = ["run", "--space", "hyperbolic", "--problem", "lorentz_linear", "--h", "0.1"]
+CONVERGE_ROTATION = ["converge", "--space", "sphere", "--problem", "rotation"]
+
+# JSON values by kind, and the kinds each config key accepts (those of its
+# flag's type); every other kind must be refused.
+JSON_KINDS = {
+    "string": st.text(max_size=4),
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "integer": st.integers(-5, 5),
+    "float": st.floats(-10.0, 10.0),
+    "list": st.lists(st.one_of(st.none(), st.booleans(), st.text(max_size=2)), min_size=1),
+    "object": st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+}
+CONFIG_KINDS = {
+    "space": {"string"},
+    "problem": {"string"},
+    "method": {"string"},
+    "out": {"string"},
+    "dim": {"integer"},
+    "seed": {"integer"},
+    "T": {"integer", "float"},
+    "h": {"integer", "float"},
+    "diagnostics": {"boolean"},
+    "dexpinv_terms": {"string", "null", "integer"},
+    "h_list": {"string", "list"},
+}
 
 
 class TestCliInput:
@@ -350,6 +380,7 @@ class TestCliInput:
             RUN_ROTATION[:-1] + ["nan"],
             ["converge", "--space", "sphere", "--problem", "rotation", "--h-list", "0.3,0.1"],
             ["converge", "--space", "sphere", "--problem", "rotation", "--h-list", "0.1,x"],
+            RUN_ROTATION[:-1] + ["1e-320"],
         ],
     )
     def test_bad_input_prints_one_error_line(self, argv, capsys):
@@ -397,3 +428,42 @@ class TestCliInput:
             argv = RUN_ROTATION + ["--config", str(config)]
         assert main(argv) == 0
         assert seen == [terms]
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (RUN_LORENTZ, {"T": "1"}),
+            (RUN_LORENTZ, {"T": None}),
+            (RUN_LORENTZ, {"seed": "x"}),
+            (RUN_LORENTZ, {"dim": "3"}),
+            (RUN_LORENTZ, {"diagnostics": "no"}),
+            (RUN_LORENTZ, {"out": 5}),
+            (RUN_LORENTZ, {"dexpinv-term": 3}),
+            (RUN_LORENTZ, {"h_list": "0.1"}),
+            (CONVERGE_ROTATION, {"h_list": [0.1, None]}),
+            (CONVERGE_ROTATION + ["--h-list", "0.1"], {"h": 0.1}),
+        ],
+    )
+    def test_bad_config_prints_one_error_line(self, argv, config, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(argv + ["--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_wrongly_typed_config_values_are_refused(self, data, tmp_path_factory):
+        key = data.draw(st.sampled_from(sorted(CONFIG_KINDS)))
+        kind = data.draw(st.sampled_from(sorted(set(JSON_KINDS) - CONFIG_KINDS[key])))
+        value = data.draw(JSON_KINDS[kind])
+        path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        argv = CONVERGE_ROTATION if key == "h_list" else RUN_ROTATION
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv + ["--config", str(path)]) == 1
+        assert err.getvalue().startswith(f"error: {key}")
+        assert err.getvalue().count("\n") == 1
