@@ -77,20 +77,15 @@ def _number(value) -> bool:
 # The JSON form of each flag's type, as (description, test) by key;
 # `_parse_terms` then reads dexpinv_terms as it reads the flag.
 _STRING = ("a string", lambda v: isinstance(v, str))
-_INTEGER = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_INTEGER = ("an integer", lambda v: _number(v) and isinstance(v, int))
 _NUMBER = ("a number", _number)
 _CONFIG_TYPES = {
     "space": _STRING, "problem": _STRING, "method": _STRING, "out": _STRING,
     "dim": _INTEGER, "seed": _INTEGER, "T": _NUMBER, "h": _NUMBER,
     "diagnostics": ("true or false", lambda v: isinstance(v, bool)),
-    "dexpinv_terms": (
-        "'auto', null or a non-negative integer",
-        lambda v: v is None or isinstance(v, str) or _INTEGER[1](v),
-    ),
-    "h_list": (
-        "a comma-separated string or a list of numbers",
-        lambda v: isinstance(v, str) or isinstance(v, list) and all(map(_number, v)),
-    ),
+    "dexpinv_terms": ("'auto' or an integer", lambda v: v is None or isinstance(v, (str, int))),
+    "h_list": ("a string or a list of numbers",
+               lambda v: isinstance(v, str) or isinstance(v, list) and all(map(_number, v))),
 }
 
 
@@ -138,17 +133,20 @@ def _parse_terms(raw):
     raise ValueError(f"dexpinv_terms must be 'auto' or a non-negative integer: {raw!r}")
 
 
-def _cmd_run(options: dict) -> int:
-    _require(options, "space", "problem", "h")
-    problem = build_problem(
+def _problem(options: dict):
+    return build_problem(
         options["space"],
         options["problem"],
         dim=options.get("dim"),
         seed=options.get("seed", DEFAULT_SEED),
         T=options.get("T", 1.0),
     )
+
+
+def _cmd_run(options: dict) -> int:
+    _require(options, "space", "problem", "h")
     _, records, summary = run_problem(
-        problem,
+        _problem(options),
         method=options.get("method", "rk4"),
         h=options["h"],
         dexpinv_terms=_parse_terms(options.get("dexpinv_terms")),
@@ -180,15 +178,8 @@ def _cmd_converge(options: dict) -> int:
         if isinstance(raw, str)
         else [float(v) for v in raw]
     )
-    problem = build_problem(
-        options["space"],
-        options["problem"],
-        dim=options.get("dim"),
-        seed=options.get("seed", DEFAULT_SEED),
-        T=options.get("T", 1.0),
-    )
     report = converge(
-        problem,
+        _problem(options),
         options.get("method", "rk4"),
         h_list,
         dexpinv_terms=_parse_terms(options.get("dexpinv_terms")),
