@@ -72,8 +72,8 @@ def dexp_forward(theta, w, form, kappa, s):
 def ambient_step(space: str, tableau, field, y, h: float, terms: int = 10):
     """One explicit Runge-Kutta step at y, computed in ambient coordinates.
 
-    An independent route to `cssi_step` for `space` in "sphere", "hyperbolic"
-    and "spd". Exp is the matrix exponential of the hat matrix applied to y
+    An independent route to `cssi_step` for `space` "spd" or the name of a
+    `CURVED` row. Exp is the matrix exponential of the hat matrix applied to y
     (y exp(y^{-1} v) on SPD, which needs no square root); the pullback is the
     inverse transvection exp(-hat theta) (y mid^{-1} w mid^{-1} y on SPD);
     dExp^{-1} is the `terms`-term series over `triple_bracket_oracle`.
@@ -96,8 +96,7 @@ def ambient_step(space: str, tableau, field, y, h: float, terms: int = 10):
             return 0.25 * triple_bracket_oracle(lambda m: m @ y_inv, y, w, theta, theta)
 
     else:
-        module = {"sphere": sphere, "hyperbolic": hyperbolic}[space]
-
+        module = next(g.module for g in CURVED if g.name == space)
         hat = partial(module.hat_matrix, y)
 
         def exp(v):
@@ -126,12 +125,14 @@ def ambient_step(space: str, tableau, field, y, h: float, terms: int = 10):
 
 @dataclass(frozen=True)
 class Geometry:
-    """One row of `GEOMETRIES`. `tangents(rng)` draws a base point and returns
-    a draw of random tangents there; `step` is (name, field, start(seed), h,
-    steps, stepper terms, oracle terms, bound) of the comparison with
-    `ambient_step`. A `module` of closed forms (the constant-curvature spaces)
-    adds the identity and closed-form checks, with `forms` = (B, kappa, S)
-    and `round_trip_theta(rng, base, theta)`, the dExp^{-1} round trip's."""
+    """One row of `GEOMETRIES`: what the suites need of one space.
+
+    `tangents(rng)` draws a base point and returns a draw of tangents there;
+    `step` is (name, field, start(seed), h, steps, stepper terms, oracle
+    terms, bound) of the check against `ambient_step`. A `module` of closed
+    forms adds the identity and closed-form checks, which also read (B,
+    kappa, S) from `forms` and the round trip's stage tangent from
+    `round_trip_theta(rng, base, theta)`."""
 
     name: str
     space: SpaceContract
@@ -194,8 +195,7 @@ def identity_suite(seed: int = 0) -> list[CheckResult]:
         out.append(CheckResult("identity", f"{g.name} Exp(0) = base", worst, 0.0))
 
     # Transport and the inverse differential reduce to the identity at 0, up to
-    # the tangent's own round-off: transport subtracts 2 B(y, w) y, then rounds
-    # once. The deviation is reported in units of that allowance.
+    # the subtracted 2 B(y, w) y (B(y, w) is w's own round-off) and one rounding.
     for g, y in zip(CURVED, bases):
         w = g.module.random_tangent(rng, y)
         worst = max(

@@ -8,10 +8,10 @@
     symmflow check    [--seed 0]
 
 All flags of `run` and `converge` may instead live in a JSON config file
-given with --config; explicit flags override the file. Each config value must
-have its flag's type, and a key that names no flag is rejected. Exit status is 0 on
-success, 1 on any failure (including a failing `check` suite); bad input
-and failed runs print one `error:` line.
+given with --config; explicit flags override the file. Each config value
+must have its flag's type, and a key that names no flag is rejected. Exit
+status is 0 on success, 1 on any failure (including a failing `check`
+suite); bad input and failed runs print one `error:` line.
 """
 
 from __future__ import annotations
