@@ -202,8 +202,8 @@ def identity_suite(seed: int = 0) -> list[CheckResult]:
             float(np.max(np.abs(g.module.transport_inv(y, w) - w))),
             float(np.max(np.abs(g.module.dexpinv(np.zeros_like(y), w) - w))),
         )
-        scale = 2.0 * abs(g.forms[0](y, w)) * float(np.max(np.abs(y)))
-        worst /= scale + float(np.spacing(np.max(np.abs(w))))
+        round_off = 2.0 * abs(g.forms[0](y, w)) * float(np.max(np.abs(y)))
+        worst /= round_off + float(np.spacing(np.max(np.abs(w))))
         out.append(CheckResult("identity", f"{g.name} transport/dexpinv at 0", worst, 1.0))
 
     # Reflection through the geodesic midpoint sends the base to the endpoint.
