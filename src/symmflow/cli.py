@@ -133,12 +133,19 @@ def _parse_terms(raw):
     raise ValueError(f"dexpinv_terms must be 'auto' or a non-negative integer: {raw!r}")
 
 
+def _non_negative(key: str, value):
+    """The flag's value, unless it is a negative integer."""
+    if value is not None and value < 0:
+        raise ValueError(f"{key} must be a non-negative integer: {value}")
+    return value
+
+
 def _problem(options: dict):
     return build_problem(
         options["space"],
         options["problem"],
-        dim=options.get("dim"),
-        seed=options.get("seed", DEFAULT_SEED),
+        dim=_non_negative("dim", options.get("dim")),
+        seed=_non_negative("seed", options.get("seed", DEFAULT_SEED)),
         T=options.get("T", 1.0),
     )
 
@@ -213,7 +220,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "check":
-            return _cmd_check(args.seed)
+            return _cmd_check(_non_negative("seed", args.seed))
         options = _merge_config(args)
         if args.command == "run":
             return _cmd_run(options)

@@ -29,8 +29,12 @@ double bracket instead.
 
 Explicit tableaus are solved stage by stage; implicit ones by fixed-point
 iteration on the stage tangents, stopping once the max stage change is at
-most 1e-14 * max(1, |y|_inf) (cap 50 iterations). A non-finite stage or
-update tangent, or a non-finite point, raises NumericalFailure.
+most 1e-14 * max(1, |y|_inf) (cap 50 iterations). The test comes before the
+stages are evaluated again, so the update sum_j b_j Kt_j uses the last
+evaluation, whose stages are within that tolerance of the converged ones,
+and an implicit step's `stage_norms` are those of that evaluation. A
+non-finite stage or update tangent, or a non-finite point, raises
+NumericalFailure.
 """
 
 from __future__ import annotations
@@ -206,7 +210,7 @@ def dexpinv_series_apply(coefficients, ad2, w):
     return out
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     """Per-step diagnostics emitted by the steppers."""
 
@@ -246,6 +250,124 @@ def _bad_stage(phi: float, limit: float) -> SymmflowError:
     return StepTooLarge(f"stage norm {phi:.6f} >= {limit:.6f}; reduce the step size")
 
 
+def _bad_field_value(value, p) -> DimensionMismatch:
+    got = (
+        f"{value.dtype} of shape {value.shape}"
+        if isinstance(value, np.ndarray)
+        else type(value).__name__
+    )
+    return DimensionMismatch(f"field value must be a real ndarray of shape {p.shape}: got {got}")
+
+
+def _max_abs(x) -> float:
+    # The ufunc reduction itself: ndarray.max goes through numpy's Python wrapper.
+    return float(np.maximum.reduce(abs(x), axis=None))
+
+
+def _nonzero_terms(coefficients) -> tuple[tuple[float, int], ...]:
+    """The (c_j, j) of a tableau row or of b with c_j != 0."""
+    return tuple((c, j) for j, c in enumerate(coefficients) if c != 0.0)
+
+
+def _combine(terms, ktil, zero):
+    """sum_j c_j Kt_j over a row's non-zero terms, from its first one; `zero` if none."""
+    theta = None
+    for c, j in terms:
+        theta = c * ktil[j] if theta is None else theta + c * ktil[j]
+    return zero if theta is None else theta
+
+
+def _step_map(space: SpaceContract, tableau: ButcherTableau, field, h, dexpinv_terms,
+              diagnostics):
+    """The one-step map y -> (y_next, StepRecord) of `cssi_step`.
+
+    Whatever does not change from step to step is taken here once: the
+    tableau rows and b as their non-zero terms, the series coefficients and
+    the space's bound methods.
+    """
+    coefficients = _resolve_coefficients(space, tableau, dexpinv_terms)
+    # Python floats: cheaper to test and scale by than numpy scalars.
+    rows = [_nonzero_terms(row) for row in tableau.a.tolist()]
+    weights = _nonzero_terms(tableau.b.tolist())
+    r, explicit = tableau.stages, tableau.is_explicit
+    base_of, stage_of, exp, at_base, tangent = (
+        space.base, space.stage, space.exp, space.at_base, space.tangent
+    )
+    field_value, residual_of, limit = space.field_value, space.invariant_residual, space.stage_limit
+
+    def step(y):
+        base = base_of(y)
+        zero = np.zeros_like(y)
+        stage_norms = [0.0] * r
+        defect = 0.0
+
+        def eval_field(p):
+            nonlocal defect
+            value = field(p)
+            if not (
+                isinstance(value, np.ndarray)
+                and value.shape == p.shape
+                and value.dtype.kind in _REAL_KINDS
+            ):
+                raise _bad_field_value(value, p)
+            v, d = field_value(p, value, diagnostics)
+            if d > defect:
+                defect = d
+            return v
+
+        def stage_value(i, theta):
+            phi, data = stage_of(theta)
+            stage_norms[i] = phi
+            if not phi < limit:  # also NaN and inf
+                raise _bad_stage(phi, limit)
+            if phi == 0.0:
+                return at_base(base, h * eval_field(y))
+            return tangent(base, theta, data, h * eval_field(exp(base, theta, data)), coefficients)
+
+        fp_iterations = 0
+        if explicit:
+            ktil = []
+            for i, row in enumerate(rows):
+                ktil.append(stage_value(i, _combine(row, ktil, zero)))
+        else:
+            tol = _FP_TOL * max(1.0, _max_abs(y))
+            thetas = [zero] * r
+            ktil = [stage_value(i, zero) for i in range(r)]
+            for fp_iterations in range(1, _FP_CAP + 1):
+                new_thetas = [_combine(row, ktil, zero) for row in rows]
+                # Stop before evaluating again once no stage moved by more
+                # than tol: ktil was evaluated within tol of the new stages.
+                # A NaN change counts as a move.
+                for i in range(r):
+                    if not _max_abs(new_thetas[i] - thetas[i]) <= tol:
+                        break
+                else:
+                    break
+                thetas = new_thetas
+                ktil = [stage_value(i, thetas[i]) for i in range(r)]
+            else:
+                raise FixedPointDivergence(
+                    f"implicit stages did not converge in {_FP_CAP} iterations"
+                )
+
+        theta_out = _combine(weights, ktil, zero)
+        phi_out, data_out = stage_of(theta_out)
+        if not math.isfinite(phi_out):
+            raise NumericalFailure(f"update tangent is not finite (norm {phi_out})")
+        y_next = exp(base, theta_out, data_out)
+        record = StepRecord(
+            index=-1,
+            h=h,
+            stage_norms=tuple(stage_norms),
+            residual=residual_of(y_next),
+            fixed_point_iterations=fp_iterations,
+            tangency_defect=defect,
+        )
+        return y_next, record
+
+    return step
+
+
 def cssi_step(
     space: SpaceContract,
     tableau: ButcherTableau,
@@ -263,87 +385,7 @@ def cssi_step(
     match the tableau order; an integer forces that many series terms (0
     disables the correction entirely).
     """
-    # Python floats: cheaper to test and scale by than numpy scalars.
-    a, b, r = tableau.a.tolist(), tableau.b.tolist(), tableau.stages
-    coefficients = _resolve_coefficients(space, tableau, dexpinv_terms)
-    base = space.base(y)
-    stage_norms = [0.0] * r
-    defect = 0.0
-
-    def eval_field(p):
-        nonlocal defect
-        value = field(p)
-        if not (
-            isinstance(value, np.ndarray)
-            and value.shape == p.shape
-            and value.dtype.kind in _REAL_KINDS
-        ):
-            got = (
-                f"{value.dtype} of shape {value.shape}"
-                if isinstance(value, np.ndarray)
-                else type(value).__name__
-            )
-            raise DimensionMismatch(
-                f"field value must be a real ndarray of shape {p.shape}: got {got}"
-            )
-        v, d = space.field_value(p, value, diagnostics)
-        if d > defect:
-            defect = d
-        return v
-
-    def stage_value(i, theta):
-        phi, data = space.stage(theta)
-        stage_norms[i] = phi
-        if not phi < space.stage_limit:  # also NaN and inf
-            raise _bad_stage(phi, space.stage_limit)
-        if phi == 0.0:
-            return space.at_base(base, h * eval_field(y))
-        value = h * eval_field(space.exp(base, theta, data))
-        return space.tangent(base, theta, data, value, coefficients)
-
-    def combine(row, ktil):
-        theta = None
-        for coef, kt in zip(row, ktil):
-            if coef != 0.0:
-                theta = coef * kt if theta is None else theta + coef * kt
-        return np.zeros_like(y) if theta is None else theta
-
-    fp_iterations = 0
-    if tableau.is_explicit:
-        ktil = []
-        for i in range(r):
-            ktil.append(stage_value(i, combine(a[i][:i], ktil)))
-    else:
-        tol = _FP_TOL * max(1.0, float(abs(y).max()))
-        thetas = [np.zeros_like(y)] * r
-        ktil = [stage_value(i, thetas[i]) for i in range(r)]
-        for fp_iterations in range(1, _FP_CAP + 1):
-            new_thetas = [combine(a[i], ktil) for i in range(r)]
-            delta = max(float(abs(new - old).max()) for new, old in zip(new_thetas, thetas))
-            thetas = new_thetas
-            ktil = [stage_value(i, thetas[i]) for i in range(r)]
-            if delta <= tol:
-                break
-        else:
-            raise FixedPointDivergence(
-                f"implicit stages did not converge in {_FP_CAP} iterations"
-            )
-
-    theta_out = combine(b, ktil)
-    phi_out, data_out = space.stage(theta_out)
-    if not math.isfinite(phi_out):
-        raise NumericalFailure(f"update tangent is not finite (norm {phi_out})")
-    y_next = space.exp(base, theta_out, data_out)
-
-    record = StepRecord(
-        index=-1,
-        h=h,
-        stage_norms=tuple(stage_norms),
-        residual=space.invariant_residual(y_next),
-        fixed_point_iterations=fp_iterations,
-        tangency_defect=defect,
-    )
-    return y_next, record
+    return _step_map(space, tableau, field, h, dexpinv_terms, diagnostics)(y)
 
 
 def march(step_fn, space: SpaceContract, y0, n_steps: int):
@@ -391,25 +433,15 @@ def integrate(
 ):
     """March n_steps of cssi_step from y0; see `march` for the loop contract.
 
+    The step map is built once for the whole integration.
+
     y0 must lie on the manifold: `space.check_point` raises NotOnManifold
     (or DimensionMismatch) before the first step otherwise. A `dexpinv_terms`
     that is neither None nor a non-negative integer raises TypeError or
     ValueError, also before the first step.
     """
-    _resolve_coefficients(space, tableau, dexpinv_terms)  # validates dexpinv_terms
+    step = _step_map(space, tableau, field, h, dexpinv_terms, diagnostics)
     space.check_point(y0)
-
-    def step(y):
-        return cssi_step(
-            space,
-            tableau,
-            field,
-            y,
-            h,
-            dexpinv_terms=dexpinv_terms,
-            diagnostics=diagnostics,
-        )
-
     return march(step, space, y0, n_steps)
 
 

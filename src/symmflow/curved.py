@@ -125,7 +125,7 @@ class CurvedSpace(SpaceContract):
     def scale(self, y) -> float:
         # Round-off in B(y, y) grows with the coordinates (like e^(2 phi) on
         # the hyperboloid), so residuals are measured against y.y.
-        return float(y @ y)
+        return float(y.dot(y))
 
     def check_point(self, y) -> None:
         require_ndarray(y, 1)

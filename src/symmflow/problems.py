@@ -148,7 +148,7 @@ def _build_lorentz_linear(dim, seed, T, params):
     y0 = base_point(n)
 
     def field(y):
-        return generator @ y
+        return generator.dot(y)
 
     def exact(t):
         return mat_exp(t * generator) @ y0

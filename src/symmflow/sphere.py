@@ -29,7 +29,7 @@ _MIDPOINT_EPS = 1e-8
 
 
 def _dot(u, v) -> float:
-    return float(u @ v)
+    return float(u.dot(v))
 
 
 SPHERE = CurvedSpace(_dot, 1.0, math.cos, math.sin, stage_limit=MAX_STAGE_ANGLE)

@@ -24,7 +24,7 @@ from symmflow.errors import (
     StepTooLarge,
 )
 from symmflow.problems import build_problem
-from symmflow.tableau import builtin_tableau
+from symmflow.tableau import builtin_tableau, tableau_names
 
 
 class TestSeriesCoefficients:
@@ -185,6 +185,24 @@ class TestImplicit:
         relative = np.linalg.norm(trajectory[-1] - exact) / np.linalg.norm(exact)
         assert relative <= 1e-5
 
+    def test_one_field_evaluation_per_iteration(self):
+        # The stopping test comes before the stages are evaluated again: the
+        # pinned lorentz step converges in 5 iterations with 5 evaluations,
+        # the zero initial stage's included (6 with a last re-evaluation).
+        problem = build_problem("hyperbolic", "lorentz_linear", dim=16, seed=7)
+        calls = []
+
+        def field(p):
+            calls.append(p)
+            return problem.field(p)
+
+        _, record = cssi_step(
+            hyperbolic.HYPERBOLOID, builtin_tableau("implicit_midpoint"), field,
+            problem.spec.y0, 0.01,
+        )
+        assert record.fixed_point_iterations == 5
+        assert len(calls) == 5
+
 
 def _nan_after(calls, field, fill=np.nan):
     """`field` for the first `calls` evaluations (two steps below), then `fill`."""
@@ -254,6 +272,18 @@ def _field(geometry):
     if geometry == "spd":
         return lambda p: p @ _DIAG @ p
     return lambda p: _GENERATORS[geometry] @ p
+
+
+@pytest.mark.parametrize("method", tableau_names())
+@pytest.mark.parametrize("geometry", sorted(_ON_MANIFOLD))
+def test_cssi_step_is_the_first_step_of_integrate(geometry, method):
+    space, y0 = _ON_MANIFOLD[geometry]
+    t = builtin_tableau(method)
+    y1, record = cssi_step(space, t, _field(geometry), y0, 0.05)
+    trajectory, records = integrate(space, t, _field(geometry), y0, 0.05, 1)
+    assert trajectory[1].tobytes() == y1.tobytes()
+    record.index = 0
+    assert records == [record]
 
 
 def _bad_after(calls, field, bad):

@@ -453,6 +453,29 @@ class TestCliInput:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, config, key",
+        [
+            (["run", "--space", "spd", "--problem", "double_bracket", "--h", "0.1",
+              "--dim", "-2"], None, "dim"),
+            (RUN_ROTATION + ["--seed", "-1"], None, "seed"),
+            (RUN_LORENTZ, {"dim": -2}, "dim"),
+            (RUN_ROTATION, {"seed": -1}, "seed"),
+            (CONVERGE_ROTATION + ["--h-list", "0.1,0.05"], {"seed": -1}, "seed"),
+            (["check", "--seed", "-1"], None, "seed"),
+        ],
+    )
+    def test_negative_dim_or_seed_is_named(self, argv, config, key, tmp_path, capsys):
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {key} must be a non-negative integer: -")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_wrongly_typed_config_values_are_refused(self, data, tmp_path_factory):

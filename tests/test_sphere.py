@@ -279,7 +279,7 @@ class TestCsiStepper:
 TRAJECTORY_SHA256 = {
     ("rk4", None): "e3283fcad8cbf7b13ff63ee7585a2b62245550e1bf06c3804ae695edf8e9710b",
     ("rk4", 3): "e3283fcad8cbf7b13ff63ee7585a2b62245550e1bf06c3804ae695edf8e9710b",
-    ("implicit_midpoint", None): "81f8dc3aca0cf6f723e060025d85300d0d6262866b33bfd80c3aa7b26d989572",
+    ("implicit_midpoint", None): "cb4786461e11402a0bfe65be0c26fd385164115ca8c2429b0692443766e7a838",
 }
 
 
