@@ -250,15 +250,6 @@ def _bad_stage(phi: float, limit: float) -> SymmflowError:
     return StepTooLarge(f"stage norm {phi:.6f} >= {limit:.6f}; reduce the step size")
 
 
-def _bad_field_value(value, p) -> DimensionMismatch:
-    got = (
-        f"{value.dtype} of shape {value.shape}"
-        if isinstance(value, np.ndarray)
-        else type(value).__name__
-    )
-    return DimensionMismatch(f"field value must be a real ndarray of shape {p.shape}: got {got}")
-
-
 def _max_abs(x) -> float:
     # The ufunc reduction itself: ndarray.max goes through numpy's Python wrapper.
     return float(np.maximum.reduce(abs(x), axis=None))
@@ -309,7 +300,14 @@ def _step_map(space: SpaceContract, tableau: ButcherTableau, field, h, dexpinv_t
                 and value.shape == p.shape
                 and value.dtype.kind in _REAL_KINDS
             ):
-                raise _bad_field_value(value, p)
+                got = (
+                    f"{value.dtype} of shape {value.shape}"
+                    if isinstance(value, np.ndarray)
+                    else type(value).__name__
+                )
+                raise DimensionMismatch(
+                    f"field value must be a real ndarray of shape {p.shape}: got {got}"
+                )
             v, d = field_value(p, value, diagnostics)
             if d > defect:
                 defect = d
@@ -355,11 +353,14 @@ def _step_map(space: SpaceContract, tableau: ButcherTableau, field, h, dexpinv_t
         if not math.isfinite(phi_out):
             raise NumericalFailure(f"update tangent is not finite (norm {phi_out})")
         y_next = exp(base, theta_out, data_out)
+        residual = residual_of(y_next)
+        if not math.isfinite(residual):  # also when y_next is not finite
+            raise NumericalFailure(f"step produced a non-finite point (residual {residual})")
         record = StepRecord(
             index=-1,
             h=h,
             stage_norms=tuple(stage_norms),
-            residual=residual_of(y_next),
+            residual=residual,
             fixed_point_iterations=fp_iterations,
             tangency_defect=defect,
         )
@@ -393,9 +394,9 @@ def march(step_fn, space: SpaceContract, y0, n_steps: int):
 
     Returns (trajectory, records) with n_steps + 1 points starting at y0.
     Points that fail `space.within_tolerance` are renormalized before being
-    stored (the pre-renormalization residual stays in the record); a
-    non-finite residual raises NumericalFailure. Step errors are re-raised
-    with `step_index` attached.
+    stored (the pre-renormalization residual stays in the record). A step
+    map must raise on a non-finite point, as `cssi_step`'s does. Step errors
+    are re-raised with `step_index` attached.
     """
     y = y0
     trajectory = [y0]
@@ -404,10 +405,6 @@ def march(step_fn, space: SpaceContract, y0, n_steps: int):
         try:
             y_next, record = step_fn(y)
             if not space.within_tolerance(y_next, record.residual):
-                if not math.isfinite(record.residual):
-                    raise NumericalFailure(
-                        f"step produced a non-finite point (residual {record.residual})"
-                    )
                 y_next = space.renormalize(y_next)
                 record.renormalized = True
         except SymmflowError as err:

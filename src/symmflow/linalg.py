@@ -25,7 +25,6 @@ _EXP_TERMS = 14
 _EXP_THETA = 0.25
 # An SPD matrix's smallest eigenvalue must exceed this times its max-norm.
 _PD_EPS = 1e-13
-_FLOAT64 = np.dtype(float)
 
 
 def _as_square(a) -> np.ndarray:
@@ -111,11 +110,8 @@ def minkowski(y, z) -> float:
 
     The last coordinate carries the + sign.
     """
-    # float64 ndarrays, the stepper's case, skip the conversion.
-    if not (type(y) is np.ndarray and y.dtype is _FLOAT64):
-        y = np.asarray(y, dtype=float)
-    if not (type(z) is np.ndarray and z.dtype is _FLOAT64):
-        z = np.asarray(z, dtype=float)
+    y = np.asarray(y, dtype=float)
+    z = np.asarray(z, dtype=float)
     if y.shape != z.shape or y.ndim != 1:
         raise DimensionMismatch(f"incompatible shapes {y.shape} and {z.shape}")
     return float(y[-1] * z[-1] - y[:-1].dot(z[:-1]))

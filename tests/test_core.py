@@ -260,6 +260,14 @@ def test_non_finite_or_unnormalizable_raises_numerical_failure(case):
     assert excinfo.value.step_index == expected_step
 
 
+def test_cssi_step_raises_when_the_update_overflows():
+    # Finite stages, but Exp of the update 1000 I overflows to inf.
+    with pytest.raises(NumericalFailure, match="non-finite point"), np.errstate(
+        over="ignore", invalid="ignore"
+    ):
+        cssi_step(spd.SPD, builtin_tableau("euler"), lambda p: 1e4 * p, np.eye(2), 0.1)
+
+
 _ON_MANIFOLD = {
     "sphere": (sphere.SPHERE, np.array([0.6, 0.0, 0.8])),
     "hyperbolic": (hyperbolic.HYPERBOLOID, hyperbolic.base_point(2)),

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, reject, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symmflow import spd
 from symmflow.checks import ambient_step
@@ -18,6 +18,7 @@ from symmflow.core import (
 from symmflow.errors import (
     DimensionMismatch,
     NonPositiveDefinite,
+    NotOnManifold,
     NumericalFailure,
     SymmetryViolation,
 )
@@ -314,28 +315,15 @@ class TestChartExponentials:
 EXPLICIT = [name for name in tableau_names() if builtin_tableau(name).is_explicit]
 
 
-# Past this sensitivity of a step (the relative change of its output per
-# relative change of y), the step amplifies each route's round-off too much
-# for the two to agree to 1e-12 of the output. Among 76 688 steps of h from
-# 0.09 to 0.1 (seeds 0..799, n <= 8), those of sensitivity below 128 agree
-# to 1.8e-13, and those of 512 to 1000 leave up to 1.5e-12; the gap grows
-# with the sensitivity, not with the growth of y. Steps past this bound, and
-# those that overflow, are not judged.
-_SENSITIVITY_JUDGED = 100.0
-
-
-def _sensitivity(tableau, field, y, y_next, h):
-    """Largest relative change of the step's output over relative changes of
-    1e-7 in one entry pair of y; inf or NaN when a changed step overflows."""
+def _oracle_sensitivity(tableau, field, y, h, terms, y_next):
+    """Largest relative change of the oracle's output y_next over relative
+    changes of 1e-7 in one entry pair of y (NaN if a changed step overflows)."""
     delta = 1e-7 * np.max(np.abs(y))
     worst = 0.0
     for i, j in zip(*np.triu_indices(len(y))):
         nudge = np.zeros_like(y)
         nudge[i, j] = nudge[j, i] = delta
-        try:
-            moved, _ = cssi_step(spd.SPD, tableau, field, y + nudge, h)
-        except NumericalFailure:
-            return math.inf
+        moved = ambient_step("spd", tableau, field, y + nudge, h, terms=terms)
         worst = np.maximum(worst, np.max(np.abs(moved - y_next)))  # keeps NaN
     return worst / np.max(np.abs([y, y_next])) / 1e-7
 
@@ -344,23 +332,25 @@ def _sensitivity(tableau, field, y, y_next, h):
 @pytest.mark.parametrize("method", EXPLICIT)
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), h=st.floats(0.001, 0.1))
-# A heun2 step (n = 5) that grows y 230x at sensitivity 40 and is judged;
-# kutta3 steps (n = 2, 4, 5, 5) of sensitivity 2600, 970, 3400 and 470 that
-# gap 6e-13, 1.5e-12, 1.2e-11 and 2.1e-12, the last at a growth of only 11x;
-# an rk4 step (n = 3) that overflows to inf and NaN without raising, and one
-# (n = 2) whose nudged steps overflow.
+# Gaps relative to the output: a heun2 step (n = 5) that grows y 230x at
+# sensitivity 40 and gaps 8e-14; kutta3 steps (n = 3; n = 2; n = 4; n = 5;
+# n = 5) of sensitivity 4e4, 2600, 970, 3400 and 470 that gap 2.9e-12,
+# 5.6e-13, 1.5e-12, 1.2e-11 and 2.1e-12, and an rk4 step (n = 4) of 1e5
+# that gaps 2.1e-10; kutta3 and rk4 steps (n = 2..5) that overflow; an rk4
+# step (n = 2) whose last stage midpoint the oracle cannot invert and whose
+# output is not positive definite.
 @example(seed=131553, h=0.09375)
 @example(seed=564793, h=0.09375)
 @example(seed=18, h=0.1)
 @example(seed=596, h=0.09375)
 @example(seed=1244, h=0.09375)
+@example(seed=63, h=0.09375)
 @example(seed=4143, h=0.08984375)
+@example(seed=1437, h=0.0625)
 @example(seed=108, h=0.1)
 def test_default_step_matches_ambient_step(method, n, seed, h):
     # The default series (order-matched terms) against the ambient oracle,
-    # which takes no square root and iterates the commutator bracket. The
-    # gap is bounded against the larger of the input and the output: each
-    # route's round-off scales with the output when a step grows y.
+    # which takes no square root and iterates the commutator bracket.
     rng = np.random.default_rng(seed)
     y = spd.random_spd(rng, n)
     field = double_bracket_field(spd.random_sym(rng, n, scale=3.0))
@@ -368,14 +358,34 @@ def test_default_step_matches_ambient_step(method, n, seed, h):
     terms = order_matched_terms(t.declared_order)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            via_step, _ = cssi_step(spd.SPD, t, field, y, h)
-        except NumericalFailure:  # a stage overflowed
-            reject()
-        assume(np.all(np.isfinite(via_step)))
-        assume(_sensitivity(t, field, y, via_step, h) <= _SENSITIVITY_JUDGED)
+            via_ambient = ambient_step("spd", t, field, y, h, terms=terms)
+        except (NumericalFailure, NonPositiveDefinite):
+            via_ambient = None
+        if via_ambient is None or not np.all(np.isfinite(via_ambient)):
+            # The oracle overflows, or meets a stage midpoint that is not
+            # positive definite in double precision: the step leaves the SPD
+            # matrices that floats hold, so the stepper must raise or return
+            # a matrix that `check_point` refuses.
+            try:
+                via_step, _ = cssi_step(spd.SPD, t, field, y, h)
+            except NumericalFailure:
+                return
+            with pytest.raises(NotOnManifold):
+                spd.SPD.check_point(via_step)
+            return
+    via_step, _ = cssi_step(spd.SPD, t, field, y, h)
+    # Each route's round-off scales with the output when a step grows y, and
+    # a step amplifies it by its sensitivity to y: the relative change of its
+    # output per relative change of y, taken on the oracle route. Among
+    # 48 000 steps at five h from 0.05 to 0.1 (seeds 0..299, n <= 8), the
+    # gaps past 1e-12 of the output are at most 2e-15 of it times that
+    # sensitivity, which reaches 1e5; the largest known, 4.5e-15, is the
+    # kutta3 example of sensitivity 470.
     scale = np.max(np.abs([y, via_step]))
-    via_ambient = ambient_step("spd", t, field, y, h, terms=terms)
-    assert np.max(np.abs(via_step - via_ambient)) <= 1e-12 * scale
+    gap = np.max(np.abs(via_step - via_ambient))
+    if gap > 1e-12 * scale:
+        sensitivity = _oracle_sensitivity(t, field, y, h, terms, via_ambient)
+        assert gap <= 1e-12 * scale * max(1.0, sensitivity / 100)
 
 
 # sha256 of the trajectory bytes of double_bracket n = 4 seed 42, h = 0.01 to
