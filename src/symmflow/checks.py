@@ -38,6 +38,7 @@ from .core import (
     lts_axiom_residuals,
     triple_bracket_oracle,
 )
+from .curved import CurvedSpace
 from .linalg import mat_exp, minkowski, spd_inv, spd_sqrt, symmetrize
 from .spd import SPD, random_spd, random_sym
 from .tableau import builtin_tableau
@@ -55,18 +56,19 @@ class CheckResult:
         return self.worst <= self.bound
 
 
-def dexp_forward(theta, w, form, kappa, s):
+def dexp_forward(theta, w, space: CurvedSpace):
     """Forward differential of Exp on a constant-curvature space (oracle side).
 
     With m = B(theta, theta) = kappa phi^2, scales the part of w B-normal to
-    theta by S(phi)/phi, for (form, kappa, s) = (B, kappa, S): the inverse of
-    `dexpinv` by construction of the shared eigenstructure.
+    theta by S(phi)/phi, reading (B, kappa, S) from `space`: the inverse of
+    its `dexpinv` by construction of the shared eigenstructure.
     """
+    form, kappa = space.form, space.kappa
     m = form(theta, theta)
     if kappa * m <= 0.0:
         return w
     phi = math.sqrt(kappa * m)
-    return w + (s(phi) / phi - 1.0) * (w - (form(theta, w) / m) * theta)
+    return w + (space.s(phi) / phi - 1.0) * (w - (form(theta, w) / m) * theta)
 
 
 def ambient_step(space: str, tableau, field, y, h: float, terms: int = 10):
@@ -127,12 +129,13 @@ def ambient_step(space: str, tableau, field, y, h: float, terms: int = 10):
 class Geometry:
     """One row of `GEOMETRIES`: what the suites need of one space.
 
-    `tangents(rng)` draws a base point and returns a draw of tangents there;
-    `step` is (name, field, start(seed), h, steps, stepper terms, oracle
-    terms, bound) of the check against `ambient_step`. A `module` of closed
-    forms adds the identity and closed-form checks, which also read (B,
-    kappa, S) from `forms` and the round trip's stage tangent from
-    `round_trip_theta(rng, base, theta)`."""
+    `triple` is the space's triple bracket; `tangents(rng)` draws a base
+    point and returns a draw of tangents there; `step` is (name, field,
+    start(seed), h, steps, stepper terms, oracle terms, bound) of the check
+    against `ambient_step`. A row with a `module` (a `CurvedSpace`) adds the
+    identity and closed-form checks of the space's methods, with the
+    module's random draws and hat matrices as the independent side, and the
+    round trip's stage tangent from `round_trip_theta(rng, base, theta)`."""
 
     name: str
     space: SpaceContract
@@ -140,13 +143,12 @@ class Geometry:
     tangents: Callable
     step: tuple
     module: ModuleType | None = None
-    forms: tuple = ()
     round_trip_theta: Callable | None = None
 
 
-def _curved(name, module, space, forms, round_trip_theta, step) -> Geometry:
+def _curved(name, module, space, round_trip_theta, step) -> Geometry:
     tangents = lambda rng: partial(module.random_tangent, rng, module.random_point(rng, 4))
-    return Geometry(name, space, module.triple, tangents, step, module, forms, round_trip_theta)
+    return Geometry(name, space, space.triple, tangents, step, module, round_trip_theta)
 
 
 _INV_INERTIA = np.array([1.0, 0.5, 1.0 / 3.0])
@@ -161,21 +163,21 @@ def _double_bracket(p):
 
 GEOMETRIES = (
     _curved(
-        "sphere", sphere, sphere.SPHERE, (lambda u, v: float(u @ v), 1.0, math.sin),
+        "sphere", sphere, sphere.SPHERE,
         # Below the conjugate point phi = pi, where dExp^{-1} blows up.
         lambda rng, base, _: sphere.random_tangent(rng, base, scale=rng.uniform(0.05, 2.8)),
-        ("generic vs specialized (sphere)", lambda p: np.cross(p, _INV_INERTIA * p),
+        ("stepper vs ambient step (sphere)", lambda p: np.cross(p, _INV_INERTIA * p),
          lambda _: np.array([0.6, 0.0, 0.8]), 0.05, 50, None, 10, 1e-13),
     ),
     _curved(
-        "hyperbolic", hyperbolic, hyperbolic.HYPERBOLOID, (minkowski, -1.0, math.sinh),
+        "hyperbolic", hyperbolic, hyperbolic.HYPERBOLOID,
         lambda rng, base, theta: theta,
-        ("generic vs specialized (hyperbolic)", lambda p: _BOOST_GEN @ p,
+        ("stepper vs ambient step (hyperbolic)", lambda p: _BOOST_GEN @ p,
          lambda _: hyperbolic.base_point(2), 0.05, 50, None, 10, 1e-13),
     ),
     Geometry(
         "spd", SPD, spd.triple, lambda rng: partial(random_sym, rng, 4),
-        ("rebased vs fixed-base (spd)", _double_bracket,
+        ("stepper vs ambient step (spd)", _double_bracket,
          lambda seed: random_spd(np.random.default_rng(seed + 1), 3), 0.01, 10, 2, 2, 1e-10),
     ),
 )
@@ -191,18 +193,20 @@ def identity_suite(seed: int = 0) -> list[CheckResult]:
     # Exponentials at zero return the base point bitwise.
     bases = [g.module.random_point(rng, 4) for g in CURVED]
     for g, y in zip(CURVED, bases):
-        worst = float(np.max(np.abs(g.module.exp_point(y, np.zeros_like(y)) - y)))
+        zero = np.zeros_like(y)
+        worst = float(np.max(np.abs(g.space.exp(y, zero, g.space.stage(zero)[1]) - y)))
         out.append(CheckResult("identity", f"{g.name} Exp(0) = base", worst, 0.0))
 
     # Transport and the inverse differential reduce to the identity at 0, up to
     # the subtracted 2 B(y, w) y (B(y, w) is w's own round-off) and one rounding.
     for g, y in zip(CURVED, bases):
         w = g.module.random_tangent(rng, y)
+        zero = np.zeros_like(y)
         worst = max(
-            float(np.max(np.abs(g.module.transport_inv(y, w) - w))),
-            float(np.max(np.abs(g.module.dexpinv(np.zeros_like(y), w) - w))),
+            float(np.max(np.abs(g.space.transport(y, w) - w))),
+            float(np.max(np.abs(g.space.dexpinv(zero, g.space.stage(zero)[1], w) - w))),
         )
-        round_off = 2.0 * abs(g.forms[0](y, w)) * float(np.max(np.abs(y)))
+        round_off = 2.0 * abs(g.space.form(y, w)) * float(np.max(np.abs(y)))
         worst /= round_off + float(np.spacing(np.max(np.abs(w))))
         out.append(CheckResult("identity", f"{g.name} transport/dexpinv at 0", worst, 1.0))
 
@@ -211,7 +215,7 @@ def identity_suite(seed: int = 0) -> list[CheckResult]:
     worst = 0.0
     for _ in range(20):
         theta = sphere.random_tangent(rng, y, scale=rng.uniform(0.1, 3.0))
-        endpoint = sphere.exp_point(y, theta)
+        endpoint = sphere.SPHERE.exp(y, theta, sphere.SPHERE.stage(theta)[1])
         mid = sphere.midpoint(y, endpoint)
         via_q = sphere.sigma(mid) @ (sphere.sigma(y) @ y)
         worst = max(worst, float(np.max(np.abs(via_q - endpoint))))
@@ -282,18 +286,20 @@ def oracle_suite(seed: int = 0, samples: int = 100) -> list[CheckResult]:
 
     # Closed forms against the ambient matrix routes.
     for g in CURVED:
-        module = g.module
+        space, module = g.space, g.module
         worst = [0.0, 0.0, 0.0]
         for _ in range(samples):
             n = int(rng.integers(2, 9))
             base = module.random_point(rng, n)
             hat = partial(module.hat_matrix, base)
             theta = module.random_tangent(rng, base, scale=rng.uniform(0.05, 3.0))
-            pairs = [(module.exp_point(base, theta), mat_exp(hat(theta)) @ base)]
+            exp = space.exp(base, theta, space.stage(theta)[1])
+            pairs = [(exp, mat_exp(hat(theta)) @ base)]
             u, v, w = (module.random_tangent(rng, base) for _ in range(3))
-            pairs.append((module.triple(u, v, w), triple_bracket_oracle(hat, base, u, v, w)))
+            pairs.append((space.triple(u, v, w), triple_bracket_oracle(hat, base, u, v, w)))
             theta = g.round_trip_theta(rng, base, theta)
-            pairs.append((module.dexpinv(theta, dexp_forward(theta, w, *g.forms)), w))
+            forward = dexp_forward(theta, w, space)
+            pairs.append((space.dexpinv(theta, space.stage(theta)[1], forward), w))
             for i, (closed, oracle) in enumerate(pairs):
                 worst[i] = max(worst[i], float(np.max(np.abs(closed - oracle))))
         for (label, bound), value in zip(_CLOSED_FORMS, worst):
@@ -302,13 +308,15 @@ def oracle_suite(seed: int = 0, samples: int = 100) -> list[CheckResult]:
     # Closed-form inverse differentials against the 6-term Bernoulli series.
     six_terms = dexpinv_coefficients(6)
     worst = 0.0
-    for module in (g.module for g in CURVED):
+    for g in CURVED:
+        space, module = g.space, g.module
         base = module.random_point(rng, 5)
         for _ in range(samples):
             theta = module.random_tangent(rng, base, scale=0.3)
             w = module.random_tangent(rng, base)
-            series = dexpinv_series_apply(six_terms, lambda x: module.triple(x, theta, theta), w)
-            worst = max(worst, float(np.max(np.abs(module.dexpinv(theta, w) - series))))
+            series = dexpinv_series_apply(six_terms, lambda x: space.triple(x, theta, theta), w)
+            closed = space.dexpinv(theta, space.stage(theta)[1], w)
+            worst = max(worst, float(np.max(np.abs(closed - series))))
     out.append(CheckResult("oracle", "closed dexpinv vs 6-term series", worst, 1e-9))
 
     # SPD double bracket: two bracket orders agree with hand expansion.

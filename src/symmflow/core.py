@@ -59,8 +59,8 @@ from .errors import (
 from .tableau import ButcherTableau
 
 RENORM_THRESHOLD = 1e-12
-# dtype kinds a field value may have: signed and unsigned integers and floats.
-# Booleans are refused too: SPD's symmetry check cannot subtract them.
+# dtype kinds a point or a field value may have: signed and unsigned integers
+# and floats. Booleans are refused too: SPD's symmetry check cannot subtract them.
 _REAL_KINDS = "iuf"
 _FP_TOL = 1e-14
 _FP_CAP = 50
@@ -147,13 +147,16 @@ class SpaceContract(ABC):
 
 
 def require_ndarray(y, ndim: int) -> None:
-    """DimensionMismatch unless y is a non-empty ndarray with `ndim` axes (square if 2)."""
-    ok = isinstance(y, np.ndarray) and y.ndim == ndim and y.size > 0
+    """DimensionMismatch unless y is a non-empty real ndarray with `ndim` axes (square if 2)."""
+    ok = (
+        isinstance(y, np.ndarray) and y.ndim == ndim and y.size > 0
+        and y.dtype.kind in _REAL_KINDS
+    )
     if ok and ndim == 2:
         ok = y.shape[0] == y.shape[1]
     if not ok:
-        got = getattr(y, "shape", type(y).__name__)
-        raise DimensionMismatch(f"expected a point as an ndarray of {ndim} axes: {got}")
+        got = f"{y.dtype} of shape {y.shape}" if isinstance(y, np.ndarray) else type(y).__name__
+        raise DimensionMismatch(f"expected a point as a real ndarray of {ndim} axes: got {got}")
 
 
 @lru_cache(maxsize=None)

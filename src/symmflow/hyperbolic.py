@@ -5,10 +5,10 @@ Coordinates carry the time component LAST: the bilinear form is
 manifold is {y : <y, y> = 1, y_t > 0}. Tangents at y are Minkowski
 orthogonal to y and spacelike, so phi = sqrt(-<v, v>) is real and
 
-    exp_point(y, v) = sinh(phi)/phi * v + cosh(phi) * y.
+    Exp_y(v) = sinh(phi)/phi * v + cosh(phi) * y.
 
-This is the kappa = -1 case of `curved.CurvedSpace`, with B the Minkowski
-form and (C, S) = (cosh, sinh). Unlike the sphere there is no
+This is `HYPERBOLOID`, the kappa = -1 case of `curved.CurvedSpace`, with B
+the Minkowski form and (C, S) = (cosh, sinh). Unlike the sphere there is no
 conjugate-point singularity: the inverse differential of the exponential
 *contracts* the normal component by phi/sinh(phi) <= 1. Every Exp, the
 midpoint Exp(v/2) included, still rejects a tangent v of rapidity phi > 30,
@@ -17,9 +17,10 @@ residual would drown in round-off, and a v that is timelike beyond
 round-off.
 
 Every per-stage quantity derives from the one Minkowski square
-m = <theta, theta>, which `HYPERBOLOID.stage` takes; the functions below
-take it themselves and run the same formulas, so both routes give
-identical bits.
+m = <theta, theta>, which `HYPERBOLOID.stage` takes. `HYPERBOLOID`'s methods
+are the hyperboloid's one set of closed forms; the matrices below
+(`sigma`, `quadratic`, `hat_matrix`, `lorentz_boost`) are independent
+routes kept for the checks.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 
 import numpy as np
 
-from .curved import PHI_SMALL, CurvedSpace
+from .curved import CurvedSpace
 from .linalg import minkowski, minkowski_metric, spd_sqrt
 
 MAX_STAGE_RAPIDITY = 30.0
@@ -45,31 +46,6 @@ def base_point(n: int) -> np.ndarray:
     o = np.zeros(n + 1)
     o[-1] = 1.0
     return o
-
-
-def exp_point(base, v):
-    """Geodesic exponential along the hyperbola of v, arc length sqrt(-<v,v>)."""
-    return HYPERBOLOID.exp(base, v, HYPERBOLOID.stage(v)[1])
-
-
-def exp_half(base, v):
-    """Geodesic midpoint Exp(v/2) = sinh(phi/2)/phi * v + cosh(phi/2) * base."""
-    return HYPERBOLOID.exp(base, v, HYPERBOLOID.stage(v)[1], 0.5)
-
-
-def transport_inv(mid, w):
-    """Parallel transport of w back to the base: w - 2 s <s, w> at s = mid."""
-    return HYPERBOLOID.transport(mid, w)
-
-
-def dexpinv(theta, w):
-    """Inverse differential of the exponential; contracts, never singular."""
-    return HYPERBOLOID.dexpinv(theta, HYPERBOLOID.stage(theta)[1], w)
-
-
-def triple(u, v, w):
-    """Triple bracket [u, v, w] = <u, w> v - <v, w> u (Minkowski products)."""
-    return HYPERBOLOID.triple(u, v, w)
 
 
 def sigma(s) -> np.ndarray:
@@ -116,7 +92,7 @@ def random_point(rng, n: int, scale: float = 1.0):
     v = np.zeros(n + 1)
     v[:n] = rng.standard_normal(n)
     v *= scale / np.linalg.norm(v)
-    return exp_point(o, v)
+    return HYPERBOLOID.exp(o, v, HYPERBOLOID.stage(v)[1])
 
 
 def random_tangent(rng, base, scale: float = 1.0):

@@ -21,8 +21,9 @@ the eigenvalues of ad^2_theta_i (o is the entrywise product). One
 eigendecomposition of y_l gives s and s^{-1}, the step's base data
 (y_l, s, s^{-1}). A zero stage needs none, and
 the Exp of a zero update is y_l itself. All products of symmetric factors
-are re-symmetrized to suppress round-off drift, so SPD-ness of the output
-is structural.
+are re-symmetrized to suppress round-off drift, which keeps the output
+symmetric; its positive definiteness rests on the stage guard of
+`SpdSpace.exp`.
 """
 
 from __future__ import annotations
@@ -32,8 +33,17 @@ import math
 import numpy as np
 
 from .core import SpaceContract, dexpinv_series_tail, require_ndarray
-from .errors import DimensionMismatch, NonPositiveDefinite, NotOnManifold, SymmetryViolation
+from .errors import (
+    DimensionMismatch,
+    NonPositiveDefinite,
+    NotOnManifold,
+    StepTooLarge,
+    SymmetryViolation,
+)
 from .linalg import require_positive_definite, sym_eig, symmetrize
+
+# ln(1/eps) = 36.04 in double precision.
+MAX_STAGE_SPREAD = 36.0
 
 
 def quadratic(s, y) -> np.ndarray:
@@ -90,7 +100,13 @@ class SpdSpace(SpaceContract):
     `base` takes once per step with s^{-1}; a non-SPD y raises
     NonPositiveDefinite. The stage data of a non-zero theta is its
     eigendecomposition (w, V), which gives exp(theta) and the stage tangent;
-    a zero stage takes none, and its Exp is y itself. `spd.ad2` is not
+    a zero stage takes none, and its Exp is y itself. `exp` raises
+    StepTooLarge on a theta whose eigenvalues w, with y's own 0, spread
+    beyond `MAX_STAGE_SPREAD` = ln(1/eps): exp(theta) scales y by e^w, and
+    past that spread the smallest factor is lost under the round-off of the
+    largest, so the output need not be positive definite, or the stage has
+    left y's scale behind (rk4 on the field 1000 I from I at h = 0.1 gave
+    5.2e21 for the exact 101). `spd.ad2` is not
     called on the stage path: it stays as the tests' independent route to
     the series.
     """
@@ -108,6 +124,12 @@ class SpdSpace(SpaceContract):
         if data is None:
             return y
         w, v = data
+        lo, hi = w[0], w[-1]
+        # The spread of {lo, 0, hi}: y itself is at 0 in stage coordinates.
+        if hi - lo > MAX_STAGE_SPREAD or hi > MAX_STAGE_SPREAD or lo < -MAX_STAGE_SPREAD:
+            raise StepTooLarge(
+                f"stage eigenvalues {lo:.3f} to {hi:.3f} spread past {MAX_STAGE_SPREAD} with 0"
+            )
         sv = s @ v
         return symmetrize((sv * np.exp(w)) @ sv.T)
 

@@ -1,18 +1,19 @@
 """The unit n-sphere in R^{n+1} with closed-form geodesic operations.
 
 Points are unit vectors y, tangents at y are vectors v with v.y = 0. The
-sphere is the kappa = +1 case of `curved.CurvedSpace`, with B the dot
-product: with phi = |v| the geodesic exponential is
+sphere is `SPHERE`, the kappa = +1 case of `curved.CurvedSpace`, with B the
+dot product: with phi = |v| the geodesic exponential is
 
-    exp_point(y, v) = sin(phi)/phi * v + cos(phi) * y,
+    Exp_y(v) = sin(phi)/phi * v + cos(phi) * y,
 
 parallel transport back along a stage geodesic reflects through the
 midpoint s = Exp_y(v/2), and the inverse differential of the exponential
 stretches the component normal to the stage tangent by phi/sin(phi). Stages
-must stay strictly below phi = pi, where that stretch blows up; violating
-stages raise StepTooLarge. The functions below are the public face of
-`SPHERE`'s formulas; `midpoint` is the chord construction, kept for the
-reflection identities.
+must stay strictly below phi = pi, where that stretch blows up; the stepper
+raises StepTooLarge on a stage that reaches `MAX_STAGE_ANGLE`. `SPHERE`'s
+methods are the sphere's one set of closed forms. The functions below are
+independent routes kept for the checks: `midpoint` is the chord
+construction, `sigma` and `hat_matrix` are ambient matrices.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import math
 
 import numpy as np
 
-from .curved import PHI_SMALL, CurvedSpace
-from .errors import MidpointUndefined, StepTooLarge
+from .curved import CurvedSpace
+from .errors import MidpointUndefined
 
 MAX_STAGE_ANGLE = math.pi - 1e-6
 _MIDPOINT_EPS = 1e-8
@@ -35,11 +36,6 @@ def _dot(u, v) -> float:
 SPHERE = CurvedSpace(_dot, 1.0, math.cos, math.sin, stage_limit=MAX_STAGE_ANGLE)
 
 
-def exp_point(base, v):
-    """Geodesic exponential: walk the great circle of v for arc length |v|."""
-    return SPHERE.exp(base, v, SPHERE.stage(v)[1])
-
-
 def midpoint(base, endpoint):
     """Geodesic midpoint of base and endpoint by chord normalization."""
     chord = endpoint + base
@@ -49,24 +45,6 @@ def midpoint(base, endpoint):
             "stage endpoint is numerically antipodal to the base point"
         )
     return chord / norm
-
-
-def transport_inv(mid, w):
-    """Parallel transport of w back to the base, via reflection at `mid`."""
-    return SPHERE.transport(mid, w)
-
-
-def dexpinv(theta, w):
-    """Inverse differential of the exponential at stage tangent theta."""
-    phi, data = SPHERE.stage(theta)
-    if phi >= MAX_STAGE_ANGLE:
-        raise StepTooLarge(f"stage angle {phi:.6f} >= pi; reduce the step size")
-    return SPHERE.dexpinv(theta, data, w)
-
-
-def triple(u, v, w):
-    """Triple bracket [u, v, w] = (w.u) v - (v.w) u on a common tangent space."""
-    return SPHERE.triple(u, v, w)
 
 
 def sigma(x) -> np.ndarray:

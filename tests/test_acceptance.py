@@ -125,7 +125,7 @@ def test_criterion_7_isospectral_drift():
     _report(7, f"double-bracket eigenvalue drift {drift:.2e} over 100 steps")
 
 
-def test_criterion_8_generic_specialized_agreement():
+def test_criterion_8_stepper_ambient_agreement():
     tableau = builtin_tableau("rk4")
     inv_inertia = np.array([1.0, 0.5, 1.0 / 3.0])
     field = lambda y: np.cross(y, inv_inertia * y)

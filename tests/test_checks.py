@@ -31,9 +31,9 @@ INVENTORY = [
     ("oracle", "hyperbolic dexpinv round trip", 1e-13),
     ("oracle", "closed dexpinv vs 6-term series", 1e-9),
     ("oracle", "spd double bracket forms", 1e-13),
-    ("oracle", "generic vs specialized (sphere)", 1e-13),
-    ("oracle", "generic vs specialized (hyperbolic)", 1e-13),
-    ("oracle", "rebased vs fixed-base (spd)", 1e-10),
+    ("oracle", "stepper vs ambient step (sphere)", 1e-13),
+    ("oracle", "stepper vs ambient step (hyperbolic)", 1e-13),
+    ("oracle", "stepper vs ambient step (spd)", 1e-10),
 ]
 
 

@@ -85,7 +85,8 @@ class TestGenericStep:
         y = np.array([0.6, 0.0, 0.8])
         field = lambda p: np.cross(p, np.array([1.0, 0.5, 1 / 3]) * p)
         out, _ = cssi_step(sphere.SPHERE, t, field, y, 0.2)
-        assert np.array_equal(out, sphere.exp_point(y, 0.2 * field(y)))
+        v = 0.2 * field(y)
+        assert np.array_equal(out, sphere.SPHERE.exp(y, v, sphere.SPHERE.stage(v)[1]))
 
     def test_geodesic_field_reproduced_to_roundoff(self):
         # The rotation field whose orbit through y0 is the great circle of
@@ -96,7 +97,8 @@ class TestGenericStep:
         axis = np.cross(y0, v0)
         field = lambda p: np.cross(axis, p)
         out, _ = cssi_step(sphere.SPHERE, builtin_tableau("rk4"), field, y0, 0.3)
-        assert np.max(np.abs(out - sphere.exp_point(y0, 0.3 * v0))) < 1e-13
+        v = 0.3 * v0
+        assert np.max(np.abs(out - sphere.SPHERE.exp(y0, v, sphere.SPHERE.stage(v)[1]))) < 1e-13
 
     def test_spd_constant_field_euler_closed_form(self):
         t = builtin_tableau("euler")
@@ -261,11 +263,12 @@ def test_non_finite_or_unnormalizable_raises_numerical_failure(case):
 
 
 def test_cssi_step_raises_when_the_update_overflows():
-    # Finite stages, but Exp of the update 1000 I overflows to inf.
+    # Finite stages and an update 30 I inside SPD's stage spread, but its Exp
+    # scales y = 1e300 I by e^30, past the largest float.
     with pytest.raises(NumericalFailure, match="non-finite point"), np.errstate(
         over="ignore", invalid="ignore"
     ):
-        cssi_step(spd.SPD, builtin_tableau("euler"), lambda p: 1e4 * p, np.eye(2), 0.1)
+        cssi_step(spd.SPD, builtin_tableau("euler"), lambda p: 300.0 * p, 1e300 * np.eye(2), 0.1)
 
 
 _ON_MANIFOLD = {
@@ -383,6 +386,21 @@ def test_initial_point_not_an_array_rejected(geometry):
             integrate(space, builtin_tableau("rk4"), _field(geometry), bad, 0.01, 3)
 
 
+@pytest.mark.parametrize("geometry", sorted(_ON_MANIFOLD))
+def test_initial_point_of_non_real_dtype_rejected(geometry):
+    # A complex y0 would pass the manifold checks; the step would then blame
+    # the field for the complex values it returns.
+    space, y0 = _ON_MANIFOLD[geometry]
+    calls = []
+    for bad in (y0.astype(complex), y0 > 0.5, y0.astype(object)):
+        with pytest.raises(DimensionMismatch, match="real ndarray"):
+            integrate(
+                space, builtin_tableau("rk4"), lambda p: calls.append(p) or np.zeros_like(p),
+                bad, 0.01, 3,
+            )
+    assert calls == []
+
+
 ON_MANIFOLD_FAR_OUT = {
     "sphere": [lambda rng: sphere.random_point(rng, 6)],
     # At rapidity s, <y, y> - 1 carries round-off of order e^(2s) ulps: 1.5e-8
@@ -412,7 +430,7 @@ class TestLtsAxioms:
         rng = np.random.default_rng(12)
         base = sphere.random_point(rng, 4)
         u, v, w, t, z = (sphere.random_tangent(rng, base) for _ in range(5))
-        r1, _, _ = lts_axiom_residuals(sphere.triple, u, u, w, t, z)
+        r1, _, _ = lts_axiom_residuals(sphere.SPHERE.triple, u, u, w, t, z)
         assert r1 <= 1e-13
 
     @pytest.mark.parametrize("geometry", ["sphere", "hyperbolic", "spd"])
@@ -422,11 +440,11 @@ class TestLtsAxioms:
             if geometry == "sphere":
                 base = sphere.random_point(rng, 4)
                 args = [sphere.random_tangent(rng, base) for _ in range(5)]
-                bracket = sphere.triple
+                bracket = sphere.SPHERE.triple
             elif geometry == "hyperbolic":
                 base = hyperbolic.random_point(rng, 4)
                 args = [hyperbolic.random_tangent(rng, base) for _ in range(5)]
-                bracket = hyperbolic.triple
+                bracket = hyperbolic.HYPERBOLOID.triple
             else:
                 args = [spd.random_sym(rng, 4) for _ in range(5)]
                 bracket = spd.triple
@@ -448,7 +466,7 @@ class TestTripleBracketOracle:
         e2 = np.array([0.0, 1.0, 0.0])
         via_oracle = triple_bracket_oracle(hat, base, e2, e1, e1)
         assert np.allclose(via_oracle, -e2)
-        assert np.allclose(sphere.triple(e2, e1, e1), -e2)
+        assert np.allclose(sphere.SPHERE.triple(e2, e1, e1), -e2)
 
     def test_hyperbolic_sign_flip(self):
         base = np.array([0.0, 0.0, 1.0])
@@ -457,4 +475,4 @@ class TestTripleBracketOracle:
         e2 = np.array([0.0, 1.0, 0.0])
         via_oracle = triple_bracket_oracle(hat, base, e2, e1, e1)
         assert np.allclose(via_oracle, e2)
-        assert np.allclose(hyperbolic.triple(e2, e1, e1), e2)
+        assert np.allclose(hyperbolic.HYPERBOLOID.triple(e2, e1, e1), e2)

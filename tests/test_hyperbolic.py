@@ -13,6 +13,15 @@ from symmflow.problems import build_problem
 from symmflow.tableau import builtin_tableau
 
 O2 = np.array([0.0, 0.0, 1.0])
+HYPERBOLOID = hyperbolic.HYPERBOLOID
+
+
+def _exp(base, v, t=1.0):
+    return HYPERBOLOID.exp(base, v, HYPERBOLOID.stage(v)[1], t)
+
+
+def _dexpinv(theta, w):
+    return HYPERBOLOID.dexpinv(theta, HYPERBOLOID.stage(theta)[1], w)
 
 
 def elliptic_generator(n=2, omega=1.0, boost=0.3, seed=42):
@@ -32,11 +41,11 @@ def elliptic_generator(n=2, omega=1.0, boost=0.3, seed=42):
 
 class TestExp:
     def test_zero_tangent_returns_base(self):
-        assert hyperbolic.exp_point(O2, np.zeros(3)) is O2
+        assert _exp(O2, np.zeros(3)) is O2
 
     def test_axis_boost(self):
         a = 1.3
-        out = hyperbolic.exp_point(O2, np.array([a, 0.0, 0.0]))
+        out = _exp(O2, np.array([a, 0.0, 0.0]))
         assert np.max(np.abs(out - [math.sinh(a), 0.0, math.cosh(a)])) < 1e-13
 
     def test_result_stays_on_hyperboloid(self):
@@ -46,7 +55,7 @@ class TestExp:
             base = hyperbolic.random_point(rng, int(rng.integers(1, 5)))
             phi = rng.uniform(0.0, 5.0)
             v = hyperbolic.random_tangent(rng, base, scale=phi) if phi > 0 else np.zeros_like(base)
-            out = hyperbolic.exp_point(base, v)
+            out = _exp(base, v)
             residual = abs(minkowski(out, out) - 1.0)
             if phi <= 3.0:
                 worst_small = max(worst_small, residual)
@@ -61,15 +70,15 @@ class TestExp:
         for _ in range(50):
             base = hyperbolic.random_point(rng, 3)
             v = hyperbolic.random_tangent(rng, base, scale=rng.uniform(0, 4))
-            assert hyperbolic.exp_point(base, v)[-1] >= 1.0 - 1e-12
+            assert _exp(base, v)[-1] >= 1.0 - 1e-12
 
     def test_non_spacelike_tangent_rejected(self):
         with pytest.raises(NonSpacelikeTangent):
-            hyperbolic.exp_point(O2, np.array([0.0, 0.0, 0.5]))
+            _exp(O2, np.array([0.0, 0.0, 0.5]))
 
     def test_rapidity_guard(self):
         with pytest.raises(StepTooLarge):
-            hyperbolic.exp_point(O2, np.array([31.0, 0.0, 0.0]))
+            _exp(O2, np.array([31.0, 0.0, 0.0]))
 
 
 class TestSigmaAndQuadratic:
@@ -146,17 +155,17 @@ class TestTransport:
         rng = np.random.default_rng(48)
         y = hyperbolic.random_point(rng, 3)
         w = hyperbolic.random_tangent(rng, y)
-        assert np.max(np.abs(hyperbolic.transport_inv(y, w) - w)) <= 1e-14
+        assert np.max(np.abs(HYPERBOLOID.transport(y, w) - w)) <= 1e-14
 
     def test_isometry_and_tangency(self):
         rng = np.random.default_rng(49)
         for _ in range(50):
             y = hyperbolic.random_point(rng, 3)
             theta = hyperbolic.random_tangent(rng, y, scale=rng.uniform(0.1, 2.0))
-            endpoint = hyperbolic.exp_point(y, theta)
-            mid = hyperbolic.exp_half(y, theta)
+            endpoint = _exp(y, theta)
+            mid = _exp(y, theta, 0.5)
             w = hyperbolic.random_tangent(rng, endpoint, scale=rng.uniform(0.1, 2.0))
-            out = hyperbolic.transport_inv(mid, w)
+            out = HYPERBOLOID.transport(mid, w)
             assert abs(minkowski(out, out) - minkowski(w, w)) <= 1e-12
             assert abs(minkowski(out, y)) <= 1e-12
 
@@ -165,12 +174,12 @@ class TestDexpinv:
     def test_parallel_component_unchanged(self):
         theta = np.array([0.9, 0.0, 0.0])
         w = 2.0 * theta
-        assert np.max(np.abs(hyperbolic.dexpinv(theta, w) - w)) <= 1e-14
+        assert np.max(np.abs(_dexpinv(theta, w) - w)) <= 1e-14
 
     def test_orthogonal_at_unit_rapidity(self):
         theta = np.array([1.0, 0.0, 0.0])
         w = np.array([0.0, 1.0, 0.0])
-        out = hyperbolic.dexpinv(theta, w)
+        out = _dexpinv(theta, w)
         assert np.max(np.abs(out - (1.0 / math.sinh(1.0)) * w)) <= 1e-14
 
     def test_contracts_normal_component(self):
@@ -179,7 +188,7 @@ class TestDexpinv:
             y = hyperbolic.random_point(rng, 3)
             theta = hyperbolic.random_tangent(rng, y, scale=rng.uniform(0.1, 5.0))
             w = hyperbolic.random_tangent(rng, y)
-            out = hyperbolic.dexpinv(theta, w)
+            out = _dexpinv(theta, w)
             # Minkowski norm of tangents is negative definite; compare
             # magnitudes through -<., .>
             assert -minkowski(out, out) <= -minkowski(w, w) + 1e-12
@@ -189,7 +198,7 @@ class TestDexpinv:
         y = hyperbolic.random_point(rng, 4)
         theta = hyperbolic.random_tangent(rng, y, scale=1.2)
         w = hyperbolic.random_tangent(rng, y, scale=0.8)
-        out = hyperbolic.dexpinv(theta, dexp_forward(theta, w, minkowski, -1.0, math.sinh))
+        out = _dexpinv(theta, dexp_forward(theta, w, HYPERBOLOID))
         assert np.max(np.abs(out - w)) <= 1e-13
 
 
@@ -199,12 +208,12 @@ class TestTriple:
         y = hyperbolic.random_point(rng, 3)
         u = hyperbolic.random_tangent(rng, y)
         w = hyperbolic.random_tangent(rng, y)
-        assert np.max(np.abs(hyperbolic.triple(u, u, w))) == 0.0
+        assert np.max(np.abs(HYPERBOLOID.triple(u, u, w))) == 0.0
 
     def test_basis_case_sign_flips_versus_sphere(self):
         e1 = np.array([1.0, 0.0, 0.0])
         e2 = np.array([0.0, 1.0, 0.0])
-        assert np.allclose(hyperbolic.triple(e2, e1, e1), e2)
+        assert np.allclose(HYPERBOLOID.triple(e2, e1, e1), e2)
 
     def test_matches_commutator_oracle(self):
         rng = np.random.default_rng(53)
@@ -215,7 +224,7 @@ class TestTriple:
             u, v, w = (hyperbolic.random_tangent(rng, base) for _ in range(3))
             gap = np.max(
                 np.abs(
-                    hyperbolic.triple(u, v, w)
+                    HYPERBOLOID.triple(u, v, w)
                     - triple_bracket_oracle(hat, base, u, v, w)
                 )
             )
@@ -251,7 +260,7 @@ class TestChiStepper:
         _, records = integrate(hyperbolic.HYPERBOLOID, t, field, O2, 0.01, 1000)
         assert max(r.residual for r in records) <= 1e-10
 
-    def test_agrees_with_generic_machinery(self):
+    def test_agrees_with_ambient_step(self):
         # Against the ambient matrix-exponential step, an independent route.
         gen = elliptic_generator()
         field = lambda p: gen @ p
@@ -271,7 +280,7 @@ class TestChiStepper:
         assert all(point[-1] >= 1.0 - 1e-12 for point in trajectory)
 
 
-class TestChartStageCache:
+class TestExpGuards:
     """The space's Exp-time guards; it keeps no stage state between calls."""
 
     @pytest.mark.parametrize(
@@ -283,22 +292,23 @@ class TestChartStageCache:
         ],
     )
     def test_guards_raise_on_every_call(self, theta, error):
-        for fn in (hyperbolic.exp_point, hyperbolic.exp_half):
-            with pytest.raises(error):
-                fn(O2, theta)
-        space = hyperbolic.HYPERBOLOID
+        space = HYPERBOLOID
         base = space.base(O2)
         checked = np.array([0.1, 0.0, 0.0])
         space.exp(base, checked, space.stage(checked)[1])
-        _, data = space.stage(theta)
+        phi, data = space.stage(theta)
         for _ in range(2):
-            with pytest.raises(error):
-                space.exp(base, theta, data)
+            for t in (1.0, 0.5):  # the midpoint Exp(theta/2) too
+                with pytest.raises(error):
+                    space.exp(base, theta, data, t)
             for coefficients in (None, (-1.0 / 6.0,)):
                 with pytest.raises(error):
                     space.tangent(base, theta, data, np.ones(3), coefficients)
+        # dExp^{-1} itself has no guard: it scales the part of w normal to
+        # theta by phi/sinh(phi), and phi is 0 on a timelike theta.
         w = np.array([0.0, 1.0, 0.0])
-        assert space.dexpinv(theta, data, w).tobytes() == hyperbolic.dexpinv(theta, w).tobytes()
+        factor = phi / math.sinh(phi) if phi else 1.0
+        assert np.max(np.abs(space.dexpinv(theta, data, w) - factor * w)) <= 1e-15
 
 
 def test_implicit_midpoint_minkowski_calls(monkeypatch):
@@ -311,7 +321,7 @@ def test_implicit_midpoint_minkowski_calls(monkeypatch):
     calls = []
     real = hyperbolic.minkowski
     monkeypatch.setattr(hyperbolic, "minkowski", lambda y, z: calls.append(y) or real(y, z))
-    _, record = cssi_step(hyperbolic.HYPERBOLOID, t, problem.field, problem.spec.y0, 0.01)
+    _, record = cssi_step(HYPERBOLOID, t, problem.field, problem.spec.y0, 0.01)
     assert record.fixed_point_iterations == 5
     assert len(calls) == 3 * record.fixed_point_iterations
 
@@ -329,7 +339,7 @@ TRAJECTORY_SHA256 = {
 def test_trajectory_bits_are_pinned(method):
     problem = build_problem("hyperbolic", "lorentz_linear", dim=16, seed=7, T=2.0)
     trajectory, _ = integrate(
-        hyperbolic.HYPERBOLOID, builtin_tableau(method), problem.field, problem.spec.y0, 0.01, 200
+        HYPERBOLOID, builtin_tableau(method), problem.field, problem.spec.y0, 0.01, 200
     )
     digest = hashlib.sha256(np.stack(trajectory).tobytes()).hexdigest()
     assert digest == TRAJECTORY_SHA256[method]

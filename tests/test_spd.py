@@ -20,6 +20,7 @@ from symmflow.errors import (
     NonPositiveDefinite,
     NotOnManifold,
     NumericalFailure,
+    StepTooLarge,
     SymmetryViolation,
 )
 from symmflow.linalg import mat_exp, spd_sqrt, symmetrize
@@ -164,6 +165,26 @@ class TestCsgiStep:
                 np.diag([1.0, -0.5]),
                 0.1,
             )
+
+    def test_stage_spread_guard(self):
+        # Stages whose eigenvalues, with 0, spread past ln(1/eps) raise: an
+        # rk4 step whose output was not positive definite, and one that
+        # returned 5.2e21 for the exact 101.
+        rng = np.random.default_rng(108)
+        y0 = spd.random_spd(rng, 2)
+        cases = [
+            (double_bracket_field(spd.random_sym(rng, 2, scale=3.0)), y0),
+            (lambda p: 1e3 * np.eye(2), np.eye(2)),
+        ]
+        for field, y0 in cases:
+            with pytest.raises(StepTooLarge) as excinfo:
+                integrate(spd.SPD, builtin_tableau("rk4"), field, y0, 0.1, 3)
+            assert excinfo.value.step_index == 0
+        # An euler step's one Exp is of h F(y) = 0.1 c I at y = I.
+        euler = builtin_tableau("euler")
+        cssi_step(spd.SPD, euler, lambda p: 359.0 * p, np.eye(2), 0.1)
+        with pytest.raises(StepTooLarge):
+            cssi_step(spd.SPD, euler, lambda p: 361.0 * p, np.eye(2), 0.1)
 
     def test_truncation_gap_scales_with_fifth_power(self):
         # 1-term vs 3-term corrections differ at x^2 K; with K and theta
@@ -368,12 +389,19 @@ def test_default_step_matches_ambient_step(method, n, seed, h):
             # a matrix that `check_point` refuses.
             try:
                 via_step, _ = cssi_step(spd.SPD, t, field, y, h)
-            except NumericalFailure:
+            except (NumericalFailure, StepTooLarge):
                 return
             with pytest.raises(NotOnManifold):
                 spd.SPD.check_point(via_step)
             return
-    via_step, _ = cssi_step(spd.SPD, t, field, y, h)
+    try:
+        via_step, _ = cssi_step(spd.SPD, t, field, y, h)
+    except StepTooLarge:
+        # The stage guard may fire only where the oracle's output is not an
+        # SPD matrix either.
+        with pytest.raises(NotOnManifold):
+            spd.SPD.check_point(via_ambient)
+        return
     # Each route's round-off scales with the output when a step grows y, and
     # a step amplifies it by its sensitivity to y: the relative change of its
     # output per relative change of y, taken on the oracle route. Among

@@ -21,18 +21,27 @@ from symmflow.tableau import builtin_tableau
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
+SPHERE = sphere.SPHERE
+
+
+def _exp(base, v):
+    return SPHERE.exp(base, v, SPHERE.stage(v)[1])
+
+
+def _dexpinv(theta, w):
+    return SPHERE.dexpinv(theta, SPHERE.stage(theta)[1], w)
 
 
 class TestExp:
     def test_zero_tangent_returns_base(self):
-        assert sphere.exp_point(E3, np.zeros(3)) is E3
+        assert _exp(E3, np.zeros(3)) is E3
 
     def test_quarter_great_circle(self):
-        out = sphere.exp_point(E3, (math.pi / 2) * E1)
+        out = _exp(E3, (math.pi / 2) * E1)
         assert np.max(np.abs(out - E1)) < 1e-15
 
     def test_full_loop_returns_base(self):
-        out = sphere.exp_point(E3, 2 * math.pi * E1)
+        out = _exp(E3, 2 * math.pi * E1)
         assert np.max(np.abs(out - E3)) < 1e-13
 
     def test_result_stays_unit(self):
@@ -40,12 +49,12 @@ class TestExp:
         for _ in range(100):
             base = sphere.random_point(rng, 4)
             v = sphere.random_tangent(rng, base, scale=rng.uniform(0, 3))
-            out = sphere.exp_point(base, v)
+            out = _exp(base, v)
             assert abs(float(out @ out) - 1.0) <= 1e-13
 
     def test_small_angle_branch_continuous(self):
         v = 1e-5 * E1
-        out = sphere.exp_point(E3, v)
+        out = _exp(E3, v)
         expected = math.sin(1e-5) * E1 + math.cos(1e-5) * E3
         assert np.max(np.abs(out - expected)) < 1e-18
 
@@ -72,17 +81,17 @@ class TestTransport:
         y = sphere.random_point(rng, 3)
         w = sphere.random_tangent(rng, y)
         # mid = y when theta = 0; w is tangent so the reflection fixes it
-        assert np.max(np.abs(sphere.transport_inv(y, w) - w)) < 1e-15
+        assert np.max(np.abs(SPHERE.transport(y, w) - w)) < 1e-15
 
     def test_quarter_circle_orthogonal_vector(self):
         mid = (E1 + E3) / math.sqrt(2.0)
-        assert np.array_equal(sphere.transport_inv(mid, E2), E2)
+        assert np.array_equal(SPHERE.transport(mid, E2), E2)
 
     def test_quarter_circle_tangent_vector(self):
         # w = -e3 is tangent at e1 = Exp((pi/2) e1 from e3); hand oracle:
         # w - 2 mid (mid . w) = -e3 + (e1 + e3) = e1.
         mid = (E1 + E3) / math.sqrt(2.0)
-        out = sphere.transport_inv(mid, -E3)
+        out = SPHERE.transport(mid, -E3)
         assert np.max(np.abs(out - E1)) < 1e-15
 
     def test_isometry_and_tangency(self):
@@ -90,10 +99,10 @@ class TestTransport:
         for _ in range(50):
             y = sphere.random_point(rng, 4)
             theta = sphere.random_tangent(rng, y, scale=rng.uniform(0.1, 2.5))
-            endpoint = sphere.exp_point(y, theta)
+            endpoint = _exp(y, theta)
             mid = sphere.midpoint(y, endpoint)
             w = sphere.random_tangent(rng, endpoint, scale=rng.uniform(0.1, 2.0))
-            out = sphere.transport_inv(mid, w)
+            out = SPHERE.transport(mid, w)
             assert abs(np.linalg.norm(out) - np.linalg.norm(w)) <= 1e-13
             assert abs(float(out @ y)) <= 1e-12
 
@@ -102,11 +111,11 @@ class TestTransport:
         rng = np.random.default_rng(25)
         y = sphere.random_point(rng, 4)
         theta = sphere.random_tangent(rng, y, scale=1.3)
-        endpoint = sphere.exp_point(y, theta)
+        endpoint = _exp(y, theta)
         mid = sphere.midpoint(y, endpoint)
         w = sphere.random_tangent(rng, endpoint)
         via_matrices = sphere.sigma(y) @ (sphere.sigma(mid) @ w)
-        assert np.max(np.abs(sphere.transport_inv(mid, w) - via_matrices)) <= 1e-13
+        assert np.max(np.abs(SPHERE.transport(mid, w) - via_matrices)) <= 1e-13
 
     def test_antipodal_midpoint_raises(self):
         with pytest.raises(MidpointUndefined):
@@ -117,11 +126,11 @@ class TestDexpinv:
     def test_parallel_component_unchanged(self):
         theta = 0.9 * E1
         w = 2.5 * E1
-        assert np.max(np.abs(sphere.dexpinv(theta, w) - w)) < 1e-14
+        assert np.max(np.abs(_dexpinv(theta, w) - w)) < 1e-14
 
     def test_orthogonal_at_right_angle_scales_by_half_pi(self):
         theta = (math.pi / 2) * E1
-        out = sphere.dexpinv(theta, E2)
+        out = _dexpinv(theta, E2)
         assert np.max(np.abs(out - (math.pi / 2) * E2)) < 1e-14
 
     def test_round_trip_with_forward_map(self):
@@ -129,12 +138,18 @@ class TestDexpinv:
         y = sphere.random_point(rng, 4)
         theta = sphere.random_tangent(rng, y, scale=0.7)
         w = sphere.random_tangent(rng, y, scale=1.4)
-        forward = dexp_forward(theta, w, lambda u, v: float(u @ v), 1.0, math.sin)
-        assert np.max(np.abs(sphere.dexpinv(theta, forward) - w)) <= 1e-13
+        forward = dexp_forward(theta, w, SPHERE)
+        assert np.max(np.abs(_dexpinv(theta, forward) - w)) <= 1e-13
 
     def test_guard_near_pi(self):
+        # The stepper stops a stage short of the conjugate point. heun2's
+        # second stage is h F(y), so a constant field theta at h = 1 puts it
+        # at theta.
+        heun2 = builtin_tableau("heun2")
+        theta = (math.pi - 1e-7) * E1
         with pytest.raises(StepTooLarge):
-            sphere.dexpinv((math.pi - 1e-7) * E1, E2)
+            cssi_step(SPHERE, heun2, lambda p: theta, E3, 1.0)
+        cssi_step(SPHERE, heun2, lambda p: 0.99 * theta, E3, 1.0)
 
     def test_commutes_with_rotations_fixing_theta(self):
         rng = np.random.default_rng(27)
@@ -150,8 +165,8 @@ class TestDexpinv:
             b = b - (b @ v) * v / (v @ v)
         b = b - (b @ a) * a / (a @ a)
         rotation = mat_exp(0.8 * (np.outer(a, b) - np.outer(b, a)))
-        lhs = rotation @ sphere.dexpinv(theta, w)
-        rhs = sphere.dexpinv(theta, rotation @ w)
+        lhs = rotation @ _dexpinv(theta, w)
+        rhs = _dexpinv(theta, rotation @ w)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_series_matches_closed_form(self):
@@ -160,9 +175,9 @@ class TestDexpinv:
         theta = sphere.random_tangent(rng, y, scale=0.3)
         w = sphere.random_tangent(rng, y)
         series = dexpinv_series_apply(
-            dexpinv_coefficients(6), lambda x: sphere.triple(x, theta, theta), w
+            dexpinv_coefficients(6), lambda x: SPHERE.triple(x, theta, theta), w
         )
-        gap = np.max(np.abs(sphere.dexpinv(theta, w) - series))
+        gap = np.max(np.abs(_dexpinv(theta, w) - series))
         assert gap <= 1e-9
 
 
@@ -172,10 +187,10 @@ class TestTriple:
         y = sphere.random_point(rng, 3)
         u = sphere.random_tangent(rng, y)
         w = sphere.random_tangent(rng, y)
-        assert np.max(np.abs(sphere.triple(u, u, w))) == 0.0
+        assert np.max(np.abs(SPHERE.triple(u, u, w))) == 0.0
 
     def test_basis_case(self):
-        assert np.allclose(sphere.triple(E2, E1, E1), -E2)
+        assert np.allclose(SPHERE.triple(E2, E1, E1), -E2)
 
     def test_matches_commutator_oracle(self):
         rng = np.random.default_rng(30)
@@ -185,7 +200,7 @@ class TestTriple:
             hat = lambda v: sphere.hat_matrix(base, v)
             u, v, w = (sphere.random_tangent(rng, base) for _ in range(3))
             gap = np.max(
-                np.abs(sphere.triple(u, v, w) - triple_bracket_oracle(hat, base, u, v, w))
+                np.abs(SPHERE.triple(u, v, w) - triple_bracket_oracle(hat, base, u, v, w))
             )
             assert gap <= 1e-12
 
@@ -196,7 +211,7 @@ class TestQuadraticRepresentation:
         for _ in range(50):
             y = sphere.random_point(rng, 4)
             theta = sphere.random_tangent(rng, y, scale=rng.uniform(0.05, 3.0))
-            endpoint = sphere.exp_point(y, theta)
+            endpoint = _exp(y, theta)
             mid = sphere.midpoint(y, endpoint)
             via_q = sphere.sigma(mid) @ (sphere.sigma(y) @ y)
             assert np.max(np.abs(via_q - endpoint)) <= 1e-12
@@ -242,7 +257,7 @@ class TestCsiStepper:
                     sphere.SPHERE, t, self.rigid_body, y0, 50.0, dexpinv_terms=terms
                 )
 
-    def test_agrees_with_generic_machinery(self):
+    def test_agrees_with_ambient_step(self):
         # Against the ambient matrix-exponential step, an independent route.
         t = builtin_tableau("rk4")
         y = np.array([0.6, 0.0, 0.8])
@@ -264,7 +279,7 @@ class TestCsiStepper:
             )
             assert np.max(np.abs(via_step - via_ambient)) <= 1e-13
 
-    def test_implicit_falls_back_to_generic(self):
+    def test_implicit_step_iterates_and_stays_unit(self):
         t = builtin_tableau("implicit_midpoint")
         y0 = np.array([0.6, 0.0, 0.8])
         out, record = cssi_step(sphere.SPHERE, t, self.rigid_body, y0, 0.1)
