@@ -246,7 +246,7 @@ def identity_suite(seed: int = 0) -> list[CheckResult]:
         s_inv = spd_inv(spd_sqrt(yspd))
         theta = random_sym(rng, 4, scale=0.7)
         value = random_sym(rng, 4, scale=1.0)
-        direct = SPD.tangent(SPD.base(yspd), theta, SPD.stage(theta)[1], value, ())
+        direct = SPD.tangent(SPD.base(yspd), theta, SPD.stage(theta)[1], value, (), 1.0)
         inv_half = spd_inv(mat_exp(0.5 * theta))
         composed = inv_half @ (s_inv @ value @ s_inv) @ inv_half
         worst = max(worst, float(np.max(np.abs(direct - composed))))

@@ -102,10 +102,12 @@ class SpaceContract(ABC):
         """Stage coordinates of a field value at the base point itself."""
 
     @abstractmethod
-    def tangent(self, base, theta, data, value, coefficients):
-        """The stage tangent dExp^{-1}_theta Gamma_theta^{-1}(value), for phi > 0.
+    def tangent(self, base, theta, data, value, coefficients, h):
+        """The stage tangent h dExp^{-1}_theta Gamma_theta^{-1}(value), for phi > 0.
 
-        `value` is a field value at exp(base, theta, data). With
+        `value` is the raw field value at exp(base, theta, data), as
+        `field_value` returns it, and `h` the step size: the stepper does not
+        scale the value, so a geometry can fold h into its coefficients. With
         `coefficients` c_1..c_N, dExp^{-1} is the truncated series
         1 + sum c_n x^n at x = ad^2_theta, which a geometry evaluates on the
         spectrum of ad^2_theta where it knows it (`dexpinv_series_tail`), or
@@ -264,10 +266,14 @@ def _nonzero_terms(coefficients) -> tuple[tuple[float, int], ...]:
 
 
 def _combine(terms, ktil, zero):
-    """sum_j c_j Kt_j over a row's non-zero terms, from its first one; `zero` if none."""
+    """sum_j c_j Kt_j over a row's non-zero terms, from its first one; `zero` if none.
+
+    A term whose c_j is exactly 1 is added without the product, which is Kt_j.
+    """
     theta = None
     for c, j in terms:
-        theta = c * ktil[j] if theta is None else theta + c * ktil[j]
+        term = ktil[j] if c == 1.0 else c * ktil[j]
+        theta = term if theta is None else theta + term
     return zero if theta is None else theta
 
 
@@ -291,12 +297,20 @@ def _step_map(space: SpaceContract, tableau: ButcherTableau, field, h, dexpinv_t
 
     def step(y):
         base = base_of(y)
-        zero = np.zeros_like(y)
         stage_norms = [0.0] * r
         defect = 0.0
 
-        def eval_field(p):
+        def stage_value(i, theta):
+            """Kt_i of stage i; theta None is the zero stage of an empty row."""
             nonlocal defect
+            if theta is None:
+                phi = 0.0
+            else:
+                phi, data = stage_of(theta)
+                stage_norms[i] = phi
+                if not phi < limit:  # also NaN and inf
+                    raise _bad_stage(phi, limit)
+            p = y if phi == 0.0 else exp(base, theta, data)
             value = field(p)
             if not (
                 isinstance(value, np.ndarray)
@@ -311,26 +325,20 @@ def _step_map(space: SpaceContract, tableau: ButcherTableau, field, h, dexpinv_t
                 raise DimensionMismatch(
                     f"field value must be a real ndarray of shape {p.shape}: got {got}"
                 )
-            v, d = field_value(p, value, diagnostics)
+            value, d = field_value(p, value, diagnostics)
             if d > defect:
                 defect = d
-            return v
-
-        def stage_value(i, theta):
-            phi, data = stage_of(theta)
-            stage_norms[i] = phi
-            if not phi < limit:  # also NaN and inf
-                raise _bad_stage(phi, limit)
             if phi == 0.0:
-                return at_base(base, h * eval_field(y))
-            return tangent(base, theta, data, h * eval_field(exp(base, theta, data)), coefficients)
+                return at_base(base, h * value)
+            return tangent(base, theta, data, value, coefficients, h)
 
         fp_iterations = 0
         if explicit:
             ktil = []
             for i, row in enumerate(rows):
-                ktil.append(stage_value(i, _combine(row, ktil, zero)))
+                ktil.append(stage_value(i, _combine(row, ktil, None)))
         else:
+            zero = np.zeros_like(y)
             tol = _FP_TOL * max(1.0, _max_abs(y))
             thetas = [zero] * r
             ktil = [stage_value(i, zero) for i in range(r)]
@@ -351,7 +359,7 @@ def _step_map(space: SpaceContract, tableau: ButcherTableau, field, h, dexpinv_t
                     f"implicit stages did not converge in {_FP_CAP} iterations"
                 )
 
-        theta_out = _combine(weights, ktil, zero)
+        theta_out = _combine(weights, ktil, None)  # b sums to 1: never empty
         phi_out, data_out = stage_of(theta_out)
         if not math.isfinite(phi_out):
             raise NumericalFailure(f"update tangent is not finite (norm {phi_out})")

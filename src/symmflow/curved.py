@@ -14,12 +14,32 @@ and with (C, S) = (cos, sin) or (cosh, sinh) every map is O(n):
 
 The base data of a step is y itself. `CurvedSpace.stage` takes the one
 square m per stage and returns (phi, data) with data = (m, phi), which the
-stepper hands back to `exp` and, through `tangent`, to the transport and
-`dexpinv`. A truncated series 1 + sum c_n x^n at x = ad^2_theta, which is -m
-on the B-normal part, is the scalar 1 + sum c_n (-m)^n there. The Exp-time guards raise
-NonSpacelikeTangent for a tangent whose m has the wrong sign beyond
-round-off (possible only when B is indefinite), and StepTooLarge for phi
-above `exp_limit`.
+stepper hands back to `exp` and `tangent`. A truncated series
+1 + sum c_n x^n at x = ad^2_theta, which is -m on the B-normal part, is the
+scalar tau = sum c_n (-m)^n there; the closed form has tau = phi/S(phi) - 1.
+
+The stage tangent of a field value v, h dExp^{-1}_theta of v transported
+back through s = a theta + c y with a = S(phi/2)/phi and c = C(phi/2), is
+one linear map of v with values in span{v, theta, y}. With the transported
+value w = v - 2 beta s,
+
+    beta        = a B(theta, v) + c B(y, v)               (= B(s, v))
+    B(theta, w) = B(theta, v) - 2 beta (a m + c B(theta, y))
+    Kt          = h [(1 + tau) v - (2 beta a (1 + tau) + tau B(theta, w)/m) theta
+                     - 2 beta c (1 + tau) y]
+
+and at phi = 0 it is h (v - 2 B(y, v) y). On the sphere `tangent` sums it
+from those scalars: after the Exp point's 3 whole-vector passes a stage
+takes 5 more and four products B in all. On the hyperboloid, whose
+coordinates grow like e^r at distance r from the origin, it forms s and
+w = v - 2 B(s, v) s as vectors and returns h (1 + tau) w - h tau
+B(theta, w)/m theta: 8 passes after the Exp point's 3, and three products.
+`transport` and `dexpinv` stay as the composed reference route that the
+checks and tests compare against.
+
+The Exp-time guards raise NonSpacelikeTangent for a tangent whose m has
+the wrong sign beyond round-off (possible only when B is indefinite), and
+StepTooLarge for phi above `exp_limit`; `exp` and `tangent` both run them.
 """
 
 from __future__ import annotations
@@ -62,24 +82,30 @@ class CurvedSpace(SpaceContract):
         phi = math.sqrt(max(self.kappa * m, 0.0))
         return phi, (m, phi)
 
-    def exp(self, base, theta, data, t: float = 1.0):
-        """Exp_base(t theta) for t = 1 or 1/2, after the Exp-time guards."""
-        m, phi = data
+    def _guard(self, theta, m, phi):
+        """The Exp-time guards: NonSpacelikeTangent, then StepTooLarge."""
         km = self.kappa * m
         # The Euclidean scale theta.theta only matters when km < 0.
         if km < 0.0 and km < -1e-12 * float(theta @ theta):
             raise NonSpacelikeTangent(f"tangent is not spacelike: <theta, theta> = {m:.3e}")
         if phi > self.exp_limit:
             raise StepTooLarge(f"stage norm {phi:.3f} > {self.exp_limit}")
+
+    def _s_over(self, x):
+        """S(x)/x, by its series below PHI_SMALL."""
+        if x < PHI_SMALL:
+            p2 = x * x
+            return 1.0 - self.kappa * p2 / 6.0 + p2 * p2 / 120.0
+        return self.s(x) / x
+
+    def exp(self, base, theta, data, t: float = 1.0):
+        """Exp_base(t theta) for t = 1 or 1/2, after the Exp-time guards."""
+        m, phi = data
+        self._guard(theta, m, phi)
         if phi == 0.0:
             return base
         tphi = t * phi
-        if tphi < PHI_SMALL:
-            p2 = tphi * tphi
-            s_over_phi = 1.0 - self.kappa * p2 / 6.0 + p2 * p2 / 120.0
-        else:
-            s_over_phi = self.s(tphi) / tphi
-        return (s_over_phi * t) * theta + self.c(tphi) * base
+        return (self._s_over(tphi) * t) * theta + self.c(tphi) * base
 
     def at_base(self, base, value):
         return value
@@ -98,19 +124,46 @@ class CurvedSpace(SpaceContract):
         m, phi = data
         if phi == 0.0:
             return w
-        if coefficients is not None:
-            tail = dexpinv_series_tail(coefficients, -m)
-        elif phi < PHI_SMALL:
-            # Through the rounded phi/S(phi), as the pinned trajectories take it.
-            p2 = phi * phi
-            tail = (1.0 + self.kappa * p2 / 6.0 + 7.0 * p2 * p2 / 360.0) - 1.0
-        else:
-            tail = phi / self.s(phi) - 1.0
+        tail = self._tail(m, phi, coefficients)
         return w + tail * (w - (self.form(theta, w) / m) * theta)
 
-    def tangent(self, base, theta, data, value, coefficients):
-        w = self.transport(self.exp(base, theta, data, 0.5), value)
-        return self.dexpinv(theta, data, w, coefficients)
+    def _tail(self, m, phi, coefficients):
+        """tau, dExp^{-1}'s factor less 1 on the part B-normal to theta, for phi > 0."""
+        if coefficients is not None:
+            return dexpinv_series_tail(coefficients, -m)
+        if phi < PHI_SMALL:
+            # Through the rounded phi/S(phi), as the pinned trajectories take it.
+            p2 = phi * phi
+            return (1.0 + self.kappa * p2 / 6.0 + 7.0 * p2 * p2 / 360.0) - 1.0
+        return phi / self.s(phi) - 1.0
+
+    def tangent(self, base, theta, data, value, coefficients, h):
+        """h dExp^{-1}_theta(transport(Exp_base(theta/2), value)), one linear map of value.
+
+        It equals that composition for every theta and value, tangent or
+        not; the module docstring gives its coefficients.
+        """
+        m, phi = data
+        self._guard(theta, m, phi)
+        if phi == 0.0:
+            return h * value - (2.0 * h * self.form(base, value)) * base
+        half = 0.5 * phi
+        a, c = self._s_over(half) * 0.5, self.c(half)
+        tau = self._tail(m, phi, coefficients)
+        g = h * (1.0 + tau)
+        if self.kappa < 0.0:
+            # On the hyperboloid the terms of B(theta, v) and B(y, v) grow
+            # like e^(2r) at distance r from the origin and cancel far below
+            # that, so beta is taken from the rounded midpoint, as
+            # `transport` takes it; summed from those products it drifts
+            # from the composed route by up to 8e-13 of the output at r = 3.
+            mid = a * theta + c * base
+            w = value - (2.0 * self.form(mid, value)) * mid
+            return g * w - (h * tau * self.form(theta, w) / m) * theta
+        tv = self.form(theta, value)
+        two_beta = 2.0 * (a * tv + c * self.form(base, value))
+        tw = tv - two_beta * (a * m + c * self.form(theta, base))
+        return g * value - (g * two_beta * a + h * tau * tw / m) * theta - (g * two_beta * c) * base
 
     def field_value(self, point, value, diagnostics: bool):
         if not diagnostics:

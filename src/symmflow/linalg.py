@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveDefinite, NumericalFailure
 
-# Scaling-and-squaring parameters: with the max-norm scaled below _EXP_THETA
+# Scaling-and-squaring parameters: with the 1-norm scaled below _EXP_THETA
 # the order-_EXP_TERMS Taylor remainder is far under one ulp.
 _EXP_TERMS = 14
 _EXP_THETA = 0.25
@@ -60,11 +60,13 @@ def sym_eig(a):
 def mat_exp(a) -> np.ndarray:
     """Matrix exponential via scaling and squaring of a fixed-order Taylor sum.
 
-    Accurate to ~1e-13 relative for max-norm up to ~10; dtype-generic.
+    The squarings come from the 1-norm, which bounds the spectral radius, so
+    a matrix of small entries but large norm is scaled too. Accurate to
+    ~1e-13 relative for 1-norm up to ~10; dtype-generic.
     """
     a = _as_square(a)
     n = a.shape[0]
-    norm = float(np.max(np.abs(a))) if a.size else 0.0
+    norm = float(np.abs(a).sum(axis=0).max()) if a.size else 0.0
     eye = np.eye(n, dtype=np.result_type(a.dtype, float))
     if norm == 0.0:
         return eye.copy()

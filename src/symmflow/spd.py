@@ -137,7 +137,7 @@ class SpdSpace(SpaceContract):
         _, _, s_inv = base
         return symmetrize(s_inv @ value @ s_inv)
 
-    def tangent(self, base, theta, data, value, coefficients):
+    def tangent(self, base, theta, data, value, coefficients, h):
         if coefficients is None:
             raise NotImplementedError("SPD's dExp^{-1} is the truncated series")
         # In the eigenbasis of theta = V diag(w) V^T the pullback
@@ -147,7 +147,7 @@ class SpdSpace(SpaceContract):
         _, _, s_inv = base
         w, v = data
         p = (s_inv @ v) * np.exp(-0.5 * w)
-        k = p.T @ value @ p
+        k = p.T @ (h * value) @ p
         if coefficients:
             d = w[:, None] - w
             k = k + k * dexpinv_series_tail(coefficients, 0.25 * (d * d))

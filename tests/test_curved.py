@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,14 @@ from scipy.linalg import expm
 
 from symmflow import hyperbolic, sphere
 from symmflow.checks import ambient_step, dexp_forward
-from symmflow.core import cssi_step, dexpinv_coefficients, dexpinv_series_apply
+from symmflow.core import (
+    cssi_step,
+    dexpinv_coefficients,
+    dexpinv_series_apply,
+    dexpinv_series_tail,
+)
 from symmflow.curved import PHI_SMALL
-from symmflow.errors import StepTooLarge
+from symmflow.errors import StepTooLarge, SymmflowError
 from symmflow.tableau import builtin_tableau
 
 # Per space: the space, the module of its random draws and hat matrices, a
@@ -45,9 +51,9 @@ SPACES = {
 def test_chart_matches_ambient_routes(name, seed, n, fraction, base_distance):
     # phi runs up to just past the space's cap (pi - 1e-6 or rapidity 30) and
     # below PHI_SMALL, where the small-angle series take over. The ambient
-    # side is the exponential of the hat matrix, by scipy: `linalg.mat_exp`
-    # scales by the largest entry, which leaves Taylor remainders up to 3e-9
-    # at these dimensions.
+    # side is the exponential of the hat matrix by scipy, a route outside
+    # the library; test_linalg.py's `TestMatExp` holds `linalg.mat_exp` to
+    # 1e-13 of it on hat matrices of these dimensions.
     space, module, draw_point, cap = SPACES[name]
     rng = np.random.default_rng(seed)
     base = draw_point(rng, n, base_distance)
@@ -61,7 +67,7 @@ def test_chart_matches_ambient_routes(name, seed, n, fraction, base_distance):
         with pytest.raises(StepTooLarge):
             space.exp(step_base, theta, data)
         with pytest.raises(StepTooLarge):
-            space.tangent(step_base, theta, data, v, None)
+            space.tangent(step_base, theta, data, v, None, 1.0)
         return
 
     # Round-off grows with the coordinates (like e^(2 phi) on the
@@ -74,7 +80,7 @@ def test_chart_matches_ambient_routes(name, seed, n, fraction, base_distance):
         # The stage tangent of v carried to the endpoint by the transvection
         # is dExp^{-1} of v: the forward differential takes it back to v, up
         # to round-off stretched by S(phi)/phi or its inverse.
-        tangent = space.tangent(step_base, theta, data, transvection @ v, None)
+        tangent = space.tangent(step_base, theta, data, transvection @ v, None, 1.0)
         ratio = space.s(phi) / phi if phi else 1.0
         bound = 1e-12 * scale * max(1.0, np.max(np.abs(v))) * max(ratio, 1.0 / ratio)
         assert np.max(np.abs(dexp_forward(theta, tangent, space) - v)) <= bound
@@ -89,14 +95,18 @@ def test_chart_matches_ambient_routes(name, seed, n, fraction, base_distance):
         assert np.max(np.abs(roundtrip - w)) <= 1e-13 * np.max(np.abs(w))
 
 
-@pytest.mark.parametrize("n", range(2, 9))
-def test_sphere_step_matches_ambient_step(n):
+def _sphere_field(rng, n):
     # y' = A y + (b - (b.y) y): a rotation plus a pull towards b, tangent to S^n.
-    rng = np.random.default_rng(100 + n)
     a = rng.standard_normal((n + 1, n + 1))
     a = a - a.T
     b = rng.standard_normal(n + 1)
-    field = lambda y: a @ y + (b - float(b @ y) * y)
+    return lambda y: a @ y + (b - float(b @ y) * y)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_sphere_step_matches_ambient_step(n):
+    rng = np.random.default_rng(100 + n)
+    field = _sphere_field(rng, n)
     t = builtin_tableau("rk4")
     y = sphere.random_point(rng, n)
     for _ in range(10):
@@ -125,7 +135,136 @@ def test_forced_series_matches_iterated_double_bracket(name, seed, n, terms, phi
     value = module.random_tangent(rng, base)
     coefficients = dexpinv_coefficients(terms)
     step_base, data = space.base(base), space.stage(theta)[1]
-    got = space.tangent(step_base, theta, data, value, coefficients)
+    got = space.tangent(step_base, theta, data, value, coefficients, 1.0)
     pulled = space.transport(space.exp(step_base, theta, data, 0.5), value)
     want = dexpinv_series_apply(coefficients, lambda w: space.triple(w, theta, theta), pulled)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _tau(space, data, coefficients):
+    """dExp^{-1}'s factor less 1 on the part B-normal to theta, for phi > 0."""
+    m, phi = data
+    if coefficients is not None:
+        return dexpinv_series_tail(coefficients, -m)
+    return phi / space.s(phi) - 1.0
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    terms=st.one_of(st.none(), st.integers(0, 5)),
+    fraction=st.one_of(st.just(0.0), st.floats(0.0, PHI_SMALL / 30.0), st.floats(0.0, 1.0)),
+    base_distance=st.floats(0.0, 3.0),
+    theta_tilt=st.one_of(st.just(0.0), st.floats(-0.9, 0.9)),
+    value_tilt=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+    h=st.floats(1e-3, 1.0),
+)
+@example(seed=5, n=2, terms=0, fraction=2.0 / 30.0, base_distance=3.0, theta_tilt=0.0,
+         value_tilt=0.0, h=1.0)
+@example(seed=0, n=1, terms=None, fraction=1.0, base_distance=0.0, theta_tilt=0.0,
+         value_tilt=0.0, h=1.0)
+def test_tangent_matches_composed_route(
+    name, seed, n, terms, fraction, base_distance, theta_tilt, value_tilt, h
+):
+    # `tangent` is one linear map of the raw field value; the reference is
+    # the composition it replaces, h dExp^{-1}(transport(Exp(theta/2), v)).
+    # theta and v leave the tangent space along the base point y (tangents
+    # and y span R^{n+1}); phi runs from 0 through the small-angle series to
+    # the space's cap.
+    space, module, draw_point, cap = SPACES[name]
+    rng = np.random.default_rng(seed)
+    base = draw_point(rng, n, base_distance)
+    # The tilt lengthens theta on the sphere, so its tangent part is drawn
+    # shorter by that factor; on the hyperboloid it shortens theta.
+    stretch = math.sqrt(1.0 + theta_tilt**2) if space.kappa > 0.0 else 1.0
+    size = fraction * cap / stretch
+    theta = module.random_tangent(rng, base, scale=size) + (theta_tilt * size) * base
+    value = module.random_tangent(rng, base) + value_tilt * base
+    coefficients = None if terms is None else dexpinv_coefficients(terms)
+
+    step_base = space.base(base)
+    phi, data = space.stage(theta)
+    try:
+        pulled = space.transport(space.exp(step_base, theta, data, 0.5), value)
+        want = h * space.dexpinv(theta, data, pulled, coefficients)
+    except SymmflowError as err:
+        with pytest.raises(type(err)):
+            space.tangent(step_base, theta, data, value, coefficients, h)
+        return
+    got = space.tangent(step_base, theta, data, value, coefficients, h)
+    # In units of the output's scale: |want|, or the stretched part
+    # h (1 + tau) v when it is larger, as it is near the sphere's conjugate
+    # point, where the part along theta is the difference of two such terms.
+    stretched = h * abs(1.0 + _tau(space, data, coefficients)) if phi else h
+    scale = max(np.max(np.abs(want)), stretched * np.max(np.abs(value)))
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+def _hyperboloid_field(rng, n):
+    # y' = G y for G in so(n, 1): a skew block of Frobenius norm 1 and a
+    # boost column of norm 1/2, as `lorentz_linear` builds them. Larger
+    # generators put the stages where the oracle's 10-term series has not
+    # converged (at phi = 2 it is off by 1e-6 of y.y).
+    g = np.zeros((n + 1, n + 1))
+    skew = rng.standard_normal((n, n))
+    skew = skew - skew.T
+    norm = np.linalg.norm(skew)
+    g[:n, :n] = skew / norm if norm else skew
+    boost = rng.standard_normal(n)
+    g[:n, n] = g[n, :n] = 0.5 * boost / np.linalg.norm(boost)
+    return lambda y: g @ y
+
+
+FIELDS = {"sphere": _sphere_field, "hyperboloid": _hyperboloid_field}
+CHECK_NAMES = {"sphere": "sphere", "hyperboloid": "hyperbolic"}
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    h=st.floats(0.001, 0.1),
+    method=st.sampled_from(["euler", "heun2", "kutta3", "rk4"]),
+    base_distance=st.floats(0.0, 2.0),
+)
+def test_step_matches_ambient_step_property(name, seed, n, h, method, base_distance):
+    # The stepper against `checks.ambient_step`, which builds the same step
+    # from hat-matrix exponentials and the 10-term series over commutators.
+    # Gaps are measured against y.y, which grows like e^(2r) on the
+    # hyperboloid and is 1 on the sphere.
+    space, _, draw_point, _ = SPACES[name]
+    rng = np.random.default_rng(seed)
+    field = FIELDS[name](rng, n)
+    y = draw_point(rng, n, base_distance)
+    t = builtin_tableau(method)
+    via_step, _ = cssi_step(space, t, field, y, h)
+    via_ambient = ambient_step(CHECK_NAMES[name], t, field, y, h)
+    assert np.max(np.abs(via_step - via_ambient)) <= 1e-13 * space.scale(y)
+
+
+def test_sphere_step_memory_is_linear():
+    # One rk4 step at ambient size 10^6 under a block-rotation field: the
+    # stepper holds a few vectors at once and builds no (n+1)^2 object.
+    size = 10**6
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal(size)
+    y /= np.linalg.norm(y)
+    omega = rng.uniform(-1.0, 1.0, size // 2)
+
+    def field(p):
+        out = np.empty_like(p)
+        out[0::2] = -omega * p[1::2]
+        out[1::2] = omega * p[0::2]
+        return out
+
+    tracemalloc.start()
+    try:
+        y_next, _ = cssi_step(sphere.SPHERE, builtin_tableau("rk4"), field, y, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(float(y_next @ y_next) - 1.0) <= 1e-12
+    assert peak <= 8 * (8 * size)

@@ -303,7 +303,7 @@ class TestExpGuards:
                     space.exp(base, theta, data, t)
             for coefficients in (None, (-1.0 / 6.0,)):
                 with pytest.raises(error):
-                    space.tangent(base, theta, data, np.ones(3), coefficients)
+                    space.tangent(base, theta, data, np.ones(3), coefficients, 1.0)
         # dExp^{-1} itself has no guard: it scales the part of w normal to
         # theta by phi/sinh(phi), and phi is 0 on a timelike theta.
         w = np.array([0.0, 1.0, 0.0])
@@ -312,10 +312,11 @@ class TestExpGuards:
 
 
 def test_implicit_midpoint_minkowski_calls(monkeypatch):
-    # Three Minkowski products per non-zero stage: its square, the transport
-    # and <theta, w> in dExp^{-1}. The stages are evaluated once per
-    # iteration but the last, so 4 non-zero evaluations in 5 iterations. Plus
-    # the zero initial stage's norm, the update's norm and the step's residual.
+    # Three Minkowski products per non-zero stage: its square, <s, v> for
+    # the reflection at the midpoint s, and <theta, w> after it. The stages
+    # are evaluated once per iteration but the last, so 4 non-zero
+    # evaluations in 5 iterations. Plus the zero initial stage's norm, the
+    # update's norm and the step's residual.
     problem = build_problem("hyperbolic", "lorentz_linear", dim=16, seed=7)
     t = builtin_tableau("implicit_midpoint")
     calls = []
@@ -328,10 +329,13 @@ def test_implicit_midpoint_minkowski_calls(monkeypatch):
 
 # sha256 of the trajectory bytes of lorentz_linear dim 16 seed 7, h = 0.01 to
 # T = 2, taken with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64. An edit that
-# reorders the arithmetic of a step changes them.
+# reorders the arithmetic of a step changes them. Re-taken when h and the
+# dExp^{-1} factor were folded into one scaling of the transported value: the
+# trajectories moved from the composed route's by at most 2.2e-16 (implicit
+# midpoint) and 1.4e-17 (rk4).
 TRAJECTORY_SHA256 = {
-    "implicit_midpoint": "b13cbd90a289d230d3dfd6b7531d0c0822fd96d27da9a7ddae0917b6576d88fd",
-    "rk4": "72113af557fe426e951c6562653d393f8497f7f80a25245618b0567c7408eac9",
+    "implicit_midpoint": "0251d79856db28ba1e2a738d712a6966021b852f2562fe592a3593f0c30bb06a",
+    "rk4": "38e613a0a9d86d20ab3a870a55f3f68d4d3d47fa52262a350a0bd4b954dca5ef",
 }
 
 

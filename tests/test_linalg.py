@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from symmflow import sphere
 from symmflow.errors import DimensionMismatch, NonPositiveDefinite, NotOnManifold, NumericalFailure
 from symmflow.linalg import (
     mat_exp,
@@ -99,6 +101,17 @@ class TestMatExp:
         e1 = mat_exp(a)
         e2 = mat_exp(2.0 * a)
         assert np.max(np.abs(e1 @ e1 - e2)) <= 1e-12 * np.max(np.abs(e2))
+
+    def test_sphere_hat_matrices_match_expm(self):
+        # Hat matrices of sphere tangents at n = 26..40 have entries below
+        # 0.25 but spectral radius phi = 1.8: scaled by the largest entry
+        # they take no squaring, and the Taylor sum is off by 7e-10.
+        rng = np.random.default_rng(3)
+        for n in range(26, 41):
+            base = sphere.random_point(rng, n)
+            hat = sphere.hat_matrix(base, sphere.random_tangent(rng, base, scale=1.8))
+            want = expm(hat)
+            assert np.max(np.abs(mat_exp(hat) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestSpdSqrt:

@@ -243,10 +243,10 @@ class TestRebasedContract:
         theta, value = (spd.random_sym(rng, 3) for _ in range(2))
         base = spd.SPD.base(np.eye(3))
         data = spd.SPD.stage(theta)[1]
-        w = spd.SPD.tangent(base, theta, data, value, ())
+        w = spd.SPD.tangent(base, theta, data, value, (), 1.0)
         c = w @ theta - theta @ w
         by_hand = 0.25 * (c @ theta - theta @ c)
-        gap = np.max(np.abs(spd.SPD.tangent(base, theta, data, value, (1.0,)) - w - by_hand))
+        gap = np.max(np.abs(spd.SPD.tangent(base, theta, data, value, (1.0,), 1.0) - w - by_hand))
         assert gap <= 1e-12
 
 
@@ -293,7 +293,7 @@ class TestChartExponentials:
         # With no series terms the stage tangent is the pullback alone.
         half = mat_exp(-0.5 * theta)
         taylor = symmetrize(half @ (s_inv @ value @ s_inv) @ half)
-        assert _relative_gap(spd.SPD.tangent(base, theta, data, value, ()), taylor) <= 1e-12
+        assert _relative_gap(spd.SPD.tangent(base, theta, data, value, (), 1.0), taylor) <= 1e-12
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -310,7 +310,7 @@ class TestChartExponentials:
         base = spd.SPD.base(y)
         s_inv = base[2]
         coefficients = dexpinv_coefficients(terms)
-        got = spd.SPD.tangent(base, theta, spd.SPD.stage(theta)[1], value, coefficients)
+        got = spd.SPD.tangent(base, theta, spd.SPD.stage(theta)[1], value, coefficients, 1.0)
         half = mat_exp(-0.5 * theta)
         pulled = symmetrize(half @ (s_inv @ value @ s_inv) @ half)
         want = dexpinv_series_apply(coefficients, lambda w: spd.ad2(theta, w), pulled)

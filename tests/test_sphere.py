@@ -287,14 +287,31 @@ class TestCsiStepper:
         assert abs(float(out @ out) - 1.0) <= 1e-13
 
 
+def test_rk4_form_calls(monkeypatch):
+    # Four dot products per non-zero stage: its square, then B(theta, v),
+    # B(y, v) and B(theta, y) in the stage tangent. rk4's first stage is the
+    # empty row, which takes none. Plus the update's square and the step's
+    # residual: 3 * 4 + 2.
+    problem = build_problem("sphere", "rigid_body")
+    calls = []
+    real = SPHERE.form
+    monkeypatch.setattr(SPHERE, "form", lambda u, v: calls.append(u) or real(u, v))
+    _, record = cssi_step(SPHERE, builtin_tableau("rk4"), problem.field, problem.spec.y0, 0.01)
+    assert record.stage_norms[0] == 0.0 and min(record.stage_norms[1:]) > 0.0
+    assert len(calls) == 14
+
+
 # sha256 of the trajectory bytes of rigid_body seed 42, h = 0.01 to T = 2,
 # taken with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64. An edit that reorders
-# the arithmetic of a step changes them. At these stage angles (below 0.02)
-# the three-term series and the closed form round to the same bits.
+# the arithmetic of a step changes them. Re-taken when the stage tangent
+# became one linear map of the field value: the trajectories moved from the
+# composed route's by at most 5.6e-17 (rk4), 1.7e-18 (rk4, 3 terms) and
+# 1.1e-16 (implicit midpoint). Here the three-term series and the closed form
+# differ by at most 5.6e-17.
 TRAJECTORY_SHA256 = {
-    ("rk4", None): "e3283fcad8cbf7b13ff63ee7585a2b62245550e1bf06c3804ae695edf8e9710b",
-    ("rk4", 3): "e3283fcad8cbf7b13ff63ee7585a2b62245550e1bf06c3804ae695edf8e9710b",
-    ("implicit_midpoint", None): "cb4786461e11402a0bfe65be0c26fd385164115ca8c2429b0692443766e7a838",
+    ("rk4", None): "a10a5cfcb313e5a51fb236379a9ac10139f4f431b7b5b1b3b389886f959d45a8",
+    ("rk4", 3): "26fac46e84354a072d5dffaf8e53474be944080ee266bfee1a5e9dc8ca1b21dd",
+    ("implicit_midpoint", None): "31979cb6338e8965422ad70525cdae0f8bd8b8a3b991f97d71a4da837cf0d9e6",
 }
 
 
