@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -24,7 +26,7 @@ from symmflow.errors import (
     StepTooLarge,
 )
 from symmflow.problems import build_problem
-from symmflow.tableau import builtin_tableau, tableau_names
+from symmflow.tableau import ButcherTableau, builtin_tableau, tableau_names
 
 
 class TestSeriesCoefficients:
@@ -423,6 +425,63 @@ def test_initial_point_on_manifold_accepted(geometry):
         )
         assert all(point is y0 for point in trajectory)
         assert not any(record.renormalized for record in records)
+
+
+# The problems whose trajectory bits are pinned below, as the geometry
+# modules' own digests take them: h = 0.01 for 200 steps to T = 2. SPD's
+# runs force the series terms that its default took before the closed
+# dExp^{-1} (one for an order-2 tableau, two for rk4), so their bits stay.
+PINNED_RUNS = {
+    "sphere": (sphere.SPHERE, ("sphere", "rigid_body"), {}, {}),
+    "hyperbolic": (hyperbolic.HYPERBOLOID, ("hyperbolic", "lorentz_linear"), {"dim": 16, "seed": 7}, {}),
+    "spd": (spd.SPD, ("spd", "double_bracket"), {"dim": 4}, {"trapezoid": 1, "rk4": 2}),
+}
+# The trapezoidal rule as an implicit tableau: its first row is empty, so its
+# first stage is zero by the tableau's structure.
+TRAPEZOID = ButcherTableau(name="trapezoid", a=[[0.0, 0.0], [0.5, 0.5]], b=[0.5, 0.5],
+                           declared_order=2)
+
+
+def _pinned_digest(geometry, tableau, diagnostics):
+    """sha256 of a pinned run's trajectory bytes and, under diagnostics, its records."""
+    space, (name, problem_name), options, terms = PINNED_RUNS[geometry]
+    problem = build_problem(name, problem_name, T=2.0, **options)
+    trajectory, records = integrate(
+        space, tableau, problem.field, problem.spec.y0, 0.01, 200,
+        dexpinv_terms=terms.get(tableau.name), diagnostics=diagnostics,
+    )
+    digest = hashlib.sha256(np.stack(trajectory).tobytes())
+    if diagnostics:
+        for record in records:
+            digest.update(repr(dataclasses.astuple(record)).encode())
+    return digest.hexdigest()
+
+
+# Taken with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64, before the zero stage
+# of an empty row and of the implicit start became `tangent(base, None, ...)`.
+TRAPEZOID_SHA256 = {
+    "hyperbolic": "43f68619973d00b6f3a8d4b5cbd849143183d78f409248828d3c5a731304f0ae",
+    "sphere": "14d52d3c59eb1a1a7380702a673452c9bc2d40da6a91019390da3da1aaaf01fe",
+    "spd": "c525275809d8a18954b53b7d35889ff94faed2d62767636e4ccd629b74cc42ea",
+}
+RK4_RECORDS_SHA256 = {
+    "hyperbolic": "22fdebd03f8b37aa426c80b2a6ef59c311eeeabf6d4360fe18480d39b1cd3cd6",
+    "sphere": "fee5d9e1449efa49894eaa62ab20965fefced8c74ea47d36c44ac216256de4fd",
+    "spd": "727c02bfac4bc20c63787cd6fd8c6140ca29e88935903b8cc9c4abd2a7039618",
+}
+
+
+@pytest.mark.parametrize("geometry", sorted(PINNED_RUNS))
+def test_trapezoid_bits_are_pinned(geometry):
+    assert _pinned_digest(geometry, TRAPEZOID, False) == TRAPEZOID_SHA256[geometry]
+
+
+@pytest.mark.parametrize("geometry", sorted(PINNED_RUNS))
+def test_rk4_records_are_pinned(geometry):
+    # Under diagnostics every field value is projected and its defect kept,
+    # and every StepRecord field enters the digest.
+    got = _pinned_digest(geometry, builtin_tableau("rk4"), True)
+    assert got == RK4_RECORDS_SHA256[geometry]
 
 
 class TestLtsAxioms:

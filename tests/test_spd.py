@@ -421,6 +421,7 @@ def test_default_step_matches_ambient_step(method, n, seed, h):
 # reorders the arithmetic of a step changes them. rk4's default series has
 # two terms, so the forced two-term run takes the same bits.
 TRAJECTORY_SHA256 = {
+    ("implicit_midpoint", 1): "167897cd2f5089bbbae2111750ce879ddba90fd3b0a04fbb1dcc375b1b9085e3",
     ("rk4", None): "1224d62411671a06e0a32240c22dbb3a6e6630495336d235c5a44eaa45cd90de",
     ("rk4", 2): "1224d62411671a06e0a32240c22dbb3a6e6630495336d235c5a44eaa45cd90de",
 }
