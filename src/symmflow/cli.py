@@ -38,7 +38,7 @@ def _add_shared(parser):
     parser.add_argument(
         "--dexpinv-terms",
         dest="dexpinv_terms",
-        help="'auto' (closed form / order-matched series) or an integer term count",
+        help="'auto' (the closed form, on every geometry) or an integer series term count",
     )
     parser.add_argument("--out", help="output CSV path")
 

@@ -19,13 +19,18 @@ differential of Exp. The latter is the scalar series
 
 evaluated at x = ad^2_theta : w -> [w, theta, theta], the double bracket of
 the tangent-space Lie triple system; a truncated series is its coefficient
-tuple from `dexpinv_coefficients`. Each geometry evaluates it on the
-spectrum of ad^2_theta, which it knows in closed form: the
-constant-curvature spaces have the single non-zero eigenvalue
+tuple from `dexpinv_coefficients`. Each geometry evaluates it, summed or
+truncated, on the spectrum of ad^2_theta, which it knows in closed form:
+the constant-curvature spaces have the single non-zero eigenvalue
 -B(theta, theta), SPD the values (l_i - l_j)^2 / 4 over pairs of
-eigenvalues of theta. The former also sum the series in closed form. A
-geometry without such a spectrum can apply `dexpinv_series_apply` over its
-double bracket instead.
+eigenvalues of theta. `dexpinv_terms=None` selects the exact map, the
+series summed in closed form, on every geometry; an integer truncates it.
+A geometry without such a spectrum can apply `dexpinv_series_apply` over
+its double bracket instead.
+
+A stage that the tableau makes zero, an empty row or the start of the
+fixed-point iteration, is handed to `tangent` as theta None: its field is
+taken at y itself, with no Exp and no stage data.
 
 Explicit tableaus are solved stage by stage; implicit ones by fixed-point
 iteration on the stage tangents, stopping once the max stage change is at
@@ -80,8 +85,6 @@ class SpaceContract(ABC):
     immutable and keeps no state between calls.
     """
 
-    #: geometries with a closed-form dExp^{-1} set this True
-    has_closed_dexpinv: bool = False
     #: stages whose magnitude reaches this raise StepTooLarge
     stage_limit: float = math.inf
 
@@ -98,12 +101,8 @@ class SpaceContract(ABC):
         """The point Exp_y(theta); y itself when phi is 0."""
 
     @abstractmethod
-    def at_base(self, base, value):
-        """Stage coordinates of a field value at the base point itself."""
-
-    @abstractmethod
     def tangent(self, base, theta, data, value, coefficients, h):
-        """The stage tangent h dExp^{-1}_theta Gamma_theta^{-1}(value), for phi > 0.
+        """The stage tangent h dExp^{-1}_theta Gamma_theta^{-1}(value).
 
         `value` is the raw field value at exp(base, theta, data), as
         `field_value` returns it, and `h` the step size: the stepper does not
@@ -112,8 +111,8 @@ class SpaceContract(ABC):
         1 + sum c_n x^n at x = ad^2_theta, which a geometry evaluates on the
         spectrum of ad^2_theta where it knows it (`dexpinv_series_tail`), or
         else through `dexpinv_series_apply` over its double bracket. With
-        None it is exact, which only spaces with `has_closed_dexpinv` are
-        asked for.
+        None it is exact. theta and data None are a zero stage, whose value
+        was taken at the base point itself: its stage coordinates times h.
         """
 
     @abstractmethod
@@ -185,11 +184,6 @@ def dexpinv_coefficients(terms: int) -> tuple[float, ...]:
     )
 
 
-def order_matched_terms(order: int) -> int:
-    """Default series truncation for a declared-order-p method: ceil((p-1)/2)."""
-    return max(0, math.ceil((order - 1) / 2))
-
-
 def dexpinv_series_tail(coefficients, x):
     """sum_n c_n x^n, the series less its leading 1, by Horner's rule.
 
@@ -228,18 +222,14 @@ class StepRecord:
     tangency_defect: float = 0.0
 
 
-def _resolve_coefficients(space: SpaceContract, tableau: ButcherTableau, dexpinv_terms):
+def _resolve_coefficients(dexpinv_terms):
     """The series coefficients a step hands to `SpaceContract.tangent`.
 
-    None selects the closed form, which `dexpinv_terms=None` does on spaces
-    that have one; otherwise the series is truncated to
-    `order_matched_terms` of the tableau's declared order, or to the
-    `dexpinv_terms` given.
+    None selects the exact dExp^{-1}; an integer truncates the series to
+    that many terms.
     """
     if dexpinv_terms is None:
-        if space.has_closed_dexpinv:
-            return None
-        return dexpinv_coefficients(order_matched_terms(tableau.declared_order))
+        return None
     try:
         terms = operator.index(dexpinv_terms)
     except TypeError:
@@ -265,8 +255,8 @@ def _nonzero_terms(coefficients) -> tuple[tuple[float, int], ...]:
     return tuple((c, j) for j, c in enumerate(coefficients) if c != 0.0)
 
 
-def _combine(terms, ktil, zero):
-    """sum_j c_j Kt_j over a row's non-zero terms, from its first one; `zero` if none.
+def _combine(terms, ktil):
+    """sum_j c_j Kt_j over a row's non-zero terms, from its first one; None if none.
 
     A term whose c_j is exactly 1 is added without the product, which is Kt_j.
     """
@@ -274,7 +264,7 @@ def _combine(terms, ktil, zero):
     for c, j in terms:
         term = ktil[j] if c == 1.0 else c * ktil[j]
         theta = term if theta is None else theta + term
-    return zero if theta is None else theta
+    return theta
 
 
 def _step_map(space: SpaceContract, tableau: ButcherTableau, field, h, dexpinv_terms,
@@ -285,14 +275,12 @@ def _step_map(space: SpaceContract, tableau: ButcherTableau, field, h, dexpinv_t
     tableau rows and b as their non-zero terms, the series coefficients and
     the space's bound methods.
     """
-    coefficients = _resolve_coefficients(space, tableau, dexpinv_terms)
+    coefficients = _resolve_coefficients(dexpinv_terms)
     # Python floats: cheaper to test and scale by than numpy scalars.
     rows = [_nonzero_terms(row) for row in tableau.a.tolist()]
     weights = _nonzero_terms(tableau.b.tolist())
     r, explicit = tableau.stages, tableau.is_explicit
-    base_of, stage_of, exp, at_base, tangent = (
-        space.base, space.stage, space.exp, space.at_base, space.tangent
-    )
+    base_of, stage_of, exp, tangent = space.base, space.stage, space.exp, space.tangent
     field_value, residual_of, limit = space.field_value, space.invariant_residual, space.stage_limit
 
     def step(y):
@@ -301,16 +289,16 @@ def _step_map(space: SpaceContract, tableau: ButcherTableau, field, h, dexpinv_t
         defect = 0.0
 
         def stage_value(i, theta):
-            """Kt_i of stage i; theta None is the zero stage of an empty row."""
+            """Kt_i of stage i; theta None is a zero stage, taken at y itself."""
             nonlocal defect
             if theta is None:
-                phi = 0.0
+                p, data = y, None
             else:
                 phi, data = stage_of(theta)
                 stage_norms[i] = phi
                 if not phi < limit:  # also NaN and inf
                     raise _bad_stage(phi, limit)
-            p = y if phi == 0.0 else exp(base, theta, data)
+                p = exp(base, theta, data)
             value = field(p)
             if not (
                 isinstance(value, np.ndarray)
@@ -328,27 +316,25 @@ def _step_map(space: SpaceContract, tableau: ButcherTableau, field, h, dexpinv_t
             value, d = field_value(p, value, diagnostics)
             if d > defect:
                 defect = d
-            if phi == 0.0:
-                return at_base(base, h * value)
             return tangent(base, theta, data, value, coefficients, h)
 
         fp_iterations = 0
         if explicit:
             ktil = []
             for i, row in enumerate(rows):
-                ktil.append(stage_value(i, _combine(row, ktil, None)))
+                ktil.append(stage_value(i, _combine(row, ktil)))
         else:
-            zero = np.zeros_like(y)
             tol = _FP_TOL * max(1.0, _max_abs(y))
-            thetas = [zero] * r
-            ktil = [stage_value(i, zero) for i in range(r)]
+            # The iteration starts from zero stages; an empty row stays one.
+            thetas = [None] * r
+            ktil = [stage_value(i, None) for i in range(r)]
             for fp_iterations in range(1, _FP_CAP + 1):
-                new_thetas = [_combine(row, ktil, zero) for row in rows]
+                new_thetas = [_combine(row, ktil) for row in rows]
                 # Stop before evaluating again once no stage moved by more
                 # than tol: ktil was evaluated within tol of the new stages.
                 # A NaN change counts as a move.
-                for i in range(r):
-                    if not _max_abs(new_thetas[i] - thetas[i]) <= tol:
+                for new, old in zip(new_thetas, thetas):
+                    if new is not None and not _max_abs(new if old is None else new - old) <= tol:
                         break
                 else:
                     break
@@ -359,7 +345,7 @@ def _step_map(space: SpaceContract, tableau: ButcherTableau, field, h, dexpinv_t
                     f"implicit stages did not converge in {_FP_CAP} iterations"
                 )
 
-        theta_out = _combine(weights, ktil, None)  # b sums to 1: never empty
+        theta_out = _combine(weights, ktil)  # b sums to 1: never empty
         phi_out, data_out = stage_of(theta_out)
         if not math.isfinite(phi_out):
             raise NumericalFailure(f"update tangent is not finite (norm {phi_out})")
@@ -392,10 +378,10 @@ def cssi_step(
 ):
     """One Runge-Kutta step of y' = F(y) along geodesics of `space`.
 
-    Returns (y_next, StepRecord). `dexpinv_terms=None` selects the geometry's
-    closed-form correction when it has one, otherwise the series truncated to
-    match the tableau order; an integer forces that many series terms (0
-    disables the correction entirely).
+    Returns (y_next, StepRecord). `dexpinv_terms=None` selects the exact
+    dExp^{-1} correction, which every geometry sums in closed form; an
+    integer forces that many series terms (0 disables the correction
+    entirely).
     """
     return _step_map(space, tableau, field, h, dexpinv_terms, diagnostics)(y)
 

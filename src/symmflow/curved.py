@@ -28,12 +28,16 @@ value w = v - 2 beta s,
     Kt          = h [(1 + tau) v - (2 beta a (1 + tau) + tau B(theta, w)/m) theta
                      - 2 beta c (1 + tau) y]
 
-and at phi = 0 it is h (v - 2 B(y, v) y). On the sphere `tangent` sums it
-from those scalars: after the Exp point's 3 whole-vector passes a stage
-takes 5 more and four products B in all. On the hyperboloid, whose
-coordinates grow like e^r at distance r from the origin, it forms s and
-w = v - 2 B(s, v) s as vectors and returns h (1 + tau) w - h tau
-B(theta, w)/m theta: 8 passes after the Exp point's 3, and three products.
+and at phi = 0 it is h (v - 2 B(y, v) y), which `tangent` keeps for a
+theta of norm 0 so that it equals the composed route for every value,
+tangent or not. A stage that the tableau makes zero comes as theta None and
+is h v without the reflection at y, which moves a tangent v only by
+round-off. On the sphere `tangent` sums the map from those scalars: after
+the Exp point's 3 whole-vector passes a stage takes 5 more and four
+products B in all. On the hyperboloid, whose coordinates grow like e^r at
+distance r from the origin, it forms s and w = v - 2 B(s, v) s as vectors
+and returns h (1 + tau) w - h tau B(theta, w)/m theta: 8 passes after the
+Exp point's 3, and three products.
 `transport` and `dexpinv` stay as the composed reference route that the
 checks and tests compare against.
 
@@ -45,6 +49,7 @@ StepTooLarge for phi above `exp_limit`; `exp` and `tangent` both run them.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -52,6 +57,8 @@ from .core import SpaceContract, dexpinv_series_tail, require_ndarray
 from .errors import NonSpacelikeTangent, NotOnManifold, NumericalFailure, StepTooLarge
 
 PHI_SMALL = 1e-4
+# The smallest normal float: products below it round to absolute error.
+_TINY = sys.float_info.min
 
 
 class CurvedSpace(SpaceContract):
@@ -62,8 +69,6 @@ class CurvedSpace(SpaceContract):
     `exp_limit` caps phi in every Exp (the hyperboloid's coordinates grow
     like e^phi, and its residual would drown in round-off).
     """
-
-    has_closed_dexpinv = True
 
     def __init__(self, form, kappa, c, s, *, stage_limit=math.inf, exp_limit=math.inf):
         self.form = form
@@ -85,8 +90,9 @@ class CurvedSpace(SpaceContract):
     def _guard(self, theta, m, phi):
         """The Exp-time guards: NonSpacelikeTangent, then StepTooLarge."""
         km = self.kappa * m
-        # The Euclidean scale theta.theta only matters when km < 0.
-        if km < 0.0 and km < -1e-12 * float(theta @ theta):
+        # The Euclidean scale theta.theta only matters when km < 0; below
+        # _TINY, where it underflows, round-off is absolute.
+        if km < 0.0 and km < -1e-12 * float(theta @ theta) - _TINY:
             raise NonSpacelikeTangent(f"tangent is not spacelike: <theta, theta> = {m:.3e}")
         if phi > self.exp_limit:
             raise StepTooLarge(f"stage norm {phi:.3f} > {self.exp_limit}")
@@ -106,9 +112,6 @@ class CurvedSpace(SpaceContract):
             return base
         tphi = t * phi
         return (self._s_over(tphi) * t) * theta + self.c(tphi) * base
-
-    def at_base(self, base, value):
-        return value
 
     def transport(self, mid, w):
         """Parallel transport of w back to the base: reflection at the midpoint."""
@@ -141,11 +144,14 @@ class CurvedSpace(SpaceContract):
         """h dExp^{-1}_theta(transport(Exp_base(theta/2), value)), one linear map of value.
 
         It equals that composition for every theta and value, tangent or
-        not; the module docstring gives its coefficients.
+        not; the module docstring gives its coefficients. theta None is a
+        zero stage of the tableau, h value.
         """
+        if theta is None:
+            return h * value
         m, phi = data
         self._guard(theta, m, phi)
-        if phi == 0.0:
+        if phi == 0.0:  # the reflection at y; see the module docstring
             return h * value - (2.0 * h * self.form(base, value)) * base
         half = 0.5 * phi
         a, c = self._s_over(half) * 0.5, self.c(half)

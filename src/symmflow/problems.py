@@ -26,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import SymmflowError
 from .hyperbolic import HYPERBOLOID, base_point
 from .linalg import mat_exp
 from .spd import SPD, random_spd
@@ -50,11 +51,10 @@ class ProblemSpec:
     def __post_init__(self):
         if self.space not in _SPACES:
             raise ValueError(f"unknown space '{self.space}'")
-        if not np.all(np.isfinite(self.y0)):
-            raise ValueError("y0 must be finite")
-        residual = _SPACES[self.space].invariant_residual(self.y0)
-        if residual > 1e-12:
-            raise ValueError(f"y0 violates the manifold constraint by {residual:.3e}")
+        try:
+            _SPACES[self.space].check_point(self.y0)
+        except SymmflowError as err:
+            raise ValueError(f"y0 is not a point of {self.space}: {err}") from err
         if not (np.isfinite(self.T) and self.T > 0):
             raise ValueError("horizon T must be positive and finite")
 

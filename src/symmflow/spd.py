@@ -7,23 +7,24 @@ stage coordinates at I and pulls the equation back through the displacement
 y -> s y s with s = sqrt(y_l), computed once per step:
 
     K_i  = h exp(-theta_i/2) s^{-1} F(s exp(theta_i) s) s^{-1} exp(-theta_i/2)
-    Kt_i = K_i + c_1 x K_i + c_2 x^2 K_i + ...,   x = (1/4)[[., theta_i], theta_i]
+    Kt_i = sqrt(x)/sinh(sqrt(x)) K_i,   x = (1/4)[[., theta_i], theta_i]
     y_next = s exp(sum_j b_j Kt_j) s
 
 Every theta_i is symmetric, so one eigendecomposition theta_i = V diag(w) V^T,
 the stage's data, gives exp(theta_i), and in its basis both maps of the
 stage tangent are entrywise: with P = s^{-1} V diag(e^{-w/2}),
 
-    Kt_i = V [(P^T h F P) o G] V^T,   G_jk = 1 + sum_n c_n x_jk^n,
-    x_jk = (w_j - w_k)^2 / 4,
+    Kt_i = V [(P^T h F P) o G] V^T,   G_jk = r_jk / sinh(r_jk),
+    r_jk = |w_j - w_k| / 2,
 
-the eigenvalues of ad^2_theta_i (o is the entrywise product). One
-eigendecomposition of y_l gives s and s^{-1}, the step's base data
-(y_l, s, s^{-1}). A zero stage needs none, and
-the Exp of a zero update is y_l itself. All products of symmetric factors
-are re-symmetrized to suppress round-off drift, which keeps the output
-symmetric; its positive definiteness rests on the stage guard of
-`SpdSpace.exp`.
+where r_jk^2 are the eigenvalues of ad^2_theta_i (o is the entrywise
+product) and G_jk = 1 at r_jk = 0. A truncated series takes
+G_jk = 1 + sum_n c_n r_jk^(2n) instead. One eigendecomposition of y_l gives
+s and s^{-1}, the step's base data (y_l, s, s^{-1}). A zero stage needs
+none: its tangent is s^{-1} h F(y_l) s^{-1}, and the Exp of a zero update is
+y_l itself. All products of symmetric factors are re-symmetrized to
+suppress round-off drift, which keeps the output symmetric; its positive
+definiteness rests on the stage guard of `SpdSpace.exp`.
 """
 
 from __future__ import annotations
@@ -133,22 +134,22 @@ class SpdSpace(SpaceContract):
         sv = s @ v
         return symmetrize((sv * np.exp(w)) @ sv.T)
 
-    def at_base(self, base, value):
-        _, _, s_inv = base
-        return symmetrize(s_inv @ value @ s_inv)
-
     def tangent(self, base, theta, data, value, coefficients, h):
-        if coefficients is None:
-            raise NotImplementedError("SPD's dExp^{-1} is the truncated series")
+        _, _, s_inv = base
+        if data is None:
+            # A zero stage: the congruence to I alone, and dExp^{-1} is 1.
+            return symmetrize(s_inv @ (h * value) @ s_inv)
         # In the eigenbasis of theta = V diag(w) V^T the pullback
         # exp(-theta/2) s^-1 F s^-1 exp(-theta/2) is P^T F P with
         # P = s^-1 V diag(e^{-w/2}), and ad^2_theta scales entry (i, j) by
-        # x_ij = (w_i - w_j)^2 / 4, so the series is a Hadamard factor.
-        _, _, s_inv = base
+        # r_ij^2 with r_ij = |w_i - w_j| / 2, so dExp^{-1} is a Hadamard factor.
         w, v = data
         p = (s_inv @ v) * np.exp(-0.5 * w)
         k = p.T @ (h * value) @ p
-        if coefficients:
+        if coefficients is None:
+            r = 0.5 * abs(w[:, None] - w)
+            k = k * np.divide(r, np.sinh(r), out=np.ones_like(r), where=r != 0.0)
+        elif coefficients:
             d = w[:, None] - w
             k = k + k * dexpinv_series_tail(coefficients, 0.25 * (d * d))
         return symmetrize(v @ k @ v.T)

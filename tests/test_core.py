@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from symmflow import hyperbolic, spd, sphere
 from symmflow.checks import ambient_step
@@ -15,7 +16,6 @@ from symmflow.core import (
     integrate,
     lts_axiom_residuals,
     march,
-    order_matched_terms,
     triple_bracket_oracle,
 )
 from symmflow.errors import (
@@ -24,6 +24,7 @@ from symmflow.errors import (
     NotOnManifold,
     NumericalFailure,
     StepTooLarge,
+    SymmflowError,
 )
 from symmflow.problems import build_problem
 from symmflow.tableau import ButcherTableau, builtin_tableau, tableau_names
@@ -47,11 +48,6 @@ class TestSeriesCoefficients:
         w = np.array([1.0, -2.0, 3.0])
         out = dexpinv_series_apply(dexpinv_coefficients(5), lambda x: np.zeros_like(x), w)
         assert np.array_equal(out, w)
-
-    def test_order_matched_truncation(self):
-        assert order_matched_terms(1) == 0
-        assert order_matched_terms(2) == 1
-        assert order_matched_terms(4) == 2
 
     def test_truncation_gap_scales_with_eighth_power(self):
         # Difference between 3 and 8 retained terms is led by the x^4 term,
@@ -433,7 +429,9 @@ def test_initial_point_on_manifold_accepted(geometry):
 # dExp^{-1} (one for an order-2 tableau, two for rk4), so their bits stay.
 PINNED_RUNS = {
     "sphere": (sphere.SPHERE, ("sphere", "rigid_body"), {}, {}),
-    "hyperbolic": (hyperbolic.HYPERBOLOID, ("hyperbolic", "lorentz_linear"), {"dim": 16, "seed": 7}, {}),
+    "hyperbolic": (
+        hyperbolic.HYPERBOLOID, ("hyperbolic", "lorentz_linear"), {"dim": 16, "seed": 7}, {}
+    ),
     "spd": (spd.SPD, ("spd", "double_bracket"), {"dim": 4}, {"trapezoid": 1, "rk4": 2}),
 }
 # The trapezoidal rule as an implicit tableau: its first row is empty, so its
@@ -482,6 +480,61 @@ def test_rk4_records_are_pinned(geometry):
     # and every StepRecord field enters the digest.
     got = _pinned_digest(geometry, builtin_tableau("rk4"), True)
     assert got == RK4_RECORDS_SHA256[geometry]
+
+
+def _random_run(geometry, rng, n):
+    """(space, y0, field) of a seeded run: a rotation plus a pull towards a
+    point on the sphere, a generator of so(n, 1) from a base up to distance 2
+    on the hyperboloid, a double bracket with a random target on SPD."""
+    if geometry == "sphere":
+        a = rng.standard_normal((n + 1, n + 1))
+        a = a - a.T
+        b = rng.standard_normal(n + 1)
+        return sphere.SPHERE, sphere.random_point(rng, n), lambda y: a @ y + (b - float(b @ y) * y)
+    if geometry == "hyperbolic":
+        g = np.zeros((n + 1, n + 1))
+        skew = rng.standard_normal((n, n))
+        g[:n, :n] = skew - skew.T
+        g[:n, n] = g[n, :n] = rng.standard_normal(n)
+        y0 = hyperbolic.random_point(rng, n, scale=rng.uniform(0.0, 2.0))
+        return hyperbolic.HYPERBOLOID, y0, lambda y: g @ y
+    target = spd.random_sym(rng, n, scale=3.0)
+
+    def field(y):
+        inner = y @ target - target @ y
+        return y @ inner - inner @ y
+
+    return spd.SPD, spd.random_spd(rng, n), field
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    geometry=st.sampled_from(sorted(_ON_MANIFOLD)),
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    h=st.floats(1e-3, 1.0),
+    method=st.sampled_from(tableau_names()),
+    terms=st.one_of(st.none(), st.integers(0, 3)),
+)
+# Its last point has condition 4.7e14 and residual 0, which `check_point`
+# refuses as not positive definite (past its floor of 1e-13 of the largest
+# entry); the next step would raise NonPositiveDefinite.
+@example(geometry="spd", n=7, seed=12719, h=0.279296875, method="euler", terms=None)
+def test_integrate_stays_on_the_manifold_or_raises(geometry, n, seed, h, method, terms):
+    # Either every point of the run is on the manifold, within the
+    # residual that `march` keeps (1e-12 of the point's scale), or the run
+    # raises a typed error: large h puts stages past the guards and implicit
+    # steps past their fixed-point cap, and nothing else may escape.
+    space, y0, field = _random_run(geometry, np.random.default_rng(seed), n)
+    with np.errstate(all="ignore"):
+        try:
+            trajectory, _ = integrate(
+                space, builtin_tableau(method), field, y0, h, 4, dexpinv_terms=terms
+            )
+        except SymmflowError:
+            return
+    for y in trajectory:
+        assert space.within_tolerance(y, space.invariant_residual(y))
 
 
 class TestLtsAxioms:

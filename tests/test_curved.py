@@ -202,6 +202,89 @@ def test_tangent_matches_composed_route(
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
+def _composed_exactly(mp, kappa, y, theta, v, h, coefficients, m=None):
+    """h dExp^{-1}(transport(Exp(theta/2), v)) in mpmath, from the square m or B(theta, theta).
+
+    Returns the output and (m, s, w, tau): the square, the midpoint, the
+    transported value and dExp^{-1}'s factor less 1 on the part B-normal to
+    theta (at phi = 0: m, y, v and 0).
+    """
+    signs = [kappa] * (len(y) - 1) + [1]
+    form = lambda a, b: mp.fsum(c * x * z for c, x, z in zip(signs, a, b))
+    if m is None:
+        m = form(theta, theta)
+    if not kappa * m > 0:
+        beta = form(y, v)
+        return [h * (vi - 2 * beta * yi) for vi, yi in zip(v, y)], (m, y, v, mp.mpf(0))
+    phi = mp.sqrt(kappa * m)
+    s_of, c_of = (mp.sin, mp.cos) if kappa > 0 else (mp.sinh, mp.cosh)
+    a, c = s_of(phi / 2) / phi, c_of(phi / 2)
+    mid = [a * ti + c * yi for ti, yi in zip(theta, y)]
+    beta = form(mid, v)
+    w = [vi - 2 * beta * si for vi, si in zip(v, mid)]
+    if coefficients is None:
+        tau = phi / s_of(phi) - 1
+    else:
+        tau = mp.fsum(mp.mpf(cn) * (-m) ** (k + 1) for k, cn in enumerate(coefficients))
+    tw = form(theta, w)
+    return [h * ((1 + tau) * wi - tau * tw / m * ti) for wi, ti in zip(w, theta)], (m, mid, w, tau)
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    terms=st.one_of(st.none(), st.integers(0, 5)),
+    fraction=st.one_of(st.just(0.0), st.floats(0.0, PHI_SMALL / 30.0), st.floats(0.0, 1.0)),
+    base_distance=st.floats(0.0, 3.0),
+    h=st.floats(1e-3, 1.0),
+)
+@example(seed=5, n=2, terms=0, fraction=2.0 / 30.0, base_distance=3.0, h=1.0)
+# theta of size 2e-162, whose Minkowski square underflows to +5e-324; the
+# spacelike guard took that for a timelike theta.
+@example(seed=0, n=28, terms=None, fraction=9.417982284161555e-164, base_distance=1.5, h=1.0)
+def test_tangent_matches_50_digit_reference(name, seed, n, terms, fraction, base_distance, h):
+    # `tangent` against the exact map of its float inputs, taken in 50
+    # digits. The bound is the map's condition in units of (n + 1) ulps, the
+    # worst-case relative round-off of an inner product of n + 1 terms:
+    #   - the reflection at s: B(s, v) and s itself round to ulp |s| |v| and
+    #     ulp |s|, which the reflection carries as ulp |s|^2 |v|, times
+    #     dExp^{-1}'s factor 1 + tau (formed from tau, which rounds to
+    #     ulp |tau|);
+    #   - the part along theta: B(theta, w) rounds to ulp |theta| |w|,
+    #     scaled by tau / m and carried by theta;
+    #   - the square m = B(theta, theta), which rounds to ulp |theta|^2 and
+    #     from which phi, s and tau derive: that times |d output / dm|.
+    # Norms are Euclidean; on the hyperboloid at distance r they grow like
+    # e^r while the Minkowski products cancel, which the bound carries.
+    mpmath = pytest.importorskip("mpmath")
+    space, module, draw_point, cap = SPACES[name]
+    rng = np.random.default_rng(seed)
+    base = draw_point(rng, n, base_distance)
+    theta = module.random_tangent(rng, base, scale=fraction * cap)
+    value = module.random_tangent(rng, base)
+    coefficients = None if terms is None else dexpinv_coefficients(terms)
+    phi, data = space.stage(theta)
+    if phi > space.exp_limit:
+        return
+    got = space.tangent(space.base(base), theta, data, value, coefficients, h)
+
+    with mpmath.workdps(50):
+        y, t, v = ([mpmath.mpf(float(x)) for x in vec] for vec in (base, theta, value))
+        args = (mpmath, space.kappa, y, t, v, mpmath.mpf(h), coefficients)
+        want, (m, mid, w, tau) = _composed_exactly(*args)
+        norm = lambda x: mpmath.sqrt(mpmath.fsum(xi * xi for xi in x))
+        bound = h * (abs(1 + tau) + abs(tau)) * norm(mid) ** 2 * norm(v)
+        if m:
+            bound += h * abs(tau) * norm(t) ** 2 * norm(w) / abs(m)
+            dm = m * mpmath.mpf(10) ** -25
+            moved, _ = _composed_exactly(*args, m=m + dm)
+            bound += norm([(a - b) / dm for a, b in zip(moved, want)]) * norm(t) ** 2
+        gap = max(abs(mpmath.mpf(float(g)) - x) for g, x in zip(got, want))
+        assert gap <= (n + 1) * np.finfo(float).eps * bound
+
+
 def _hyperboloid_field(rng, n):
     # y' = G y for G in so(n, 1): a skew block of Frobenius norm 1 and a
     # boost column of norm 1/2, as `lorentz_linear` builds them. Larger

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symmflow import cli
+from symmflow import cli, hyperbolic
 from symmflow.cli import main
 from symmflow.errors import ReferenceUnavailable
 from symmflow.harness import (
@@ -18,7 +18,7 @@ from symmflow.harness import (
     read_csv,
     run_problem,
 )
-from symmflow.problems import build_problem, problem_names
+from symmflow.problems import ProblemSpec, build_problem, problem_names
 
 
 class TestProblems:
@@ -45,6 +45,24 @@ class TestProblems:
     def test_non_finite_initial_point_rejected(self):
         with pytest.raises(ValueError):
             build_problem("sphere", "rigid_body", y0=(float("nan"), 0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "space, y0",
+        [
+            ("hyperbolic", np.array([0.0, 0.0, -1.0])),  # the lower sheet
+            ("spd", np.diag([1.0, -1.0])),  # symmetric, not positive definite
+            ("sphere", np.array([0.6, 0.0, 0.8 + 1e-11])),  # past 1e-12 of y.y
+        ],
+    )
+    def test_spec_takes_the_space_check(self, space, y0):
+        # A spec's y0 passes the same `check_point` as `integrate`'s.
+        with pytest.raises(ValueError, match="not a point of"):
+            ProblemSpec(space, "any", len(y0) - 1, {}, y0, 1.0)
+
+    def test_spec_measures_the_residual_against_the_scale(self):
+        # At rapidity 6, <y, y> - 1 rounds to 7e-12, within 1e-12 of y.y.
+        y0 = hyperbolic.random_point(np.random.default_rng(3), 6, scale=6.0)
+        assert ProblemSpec("hyperbolic", "any", 6, {}, y0, 1.0).y0 is y0
 
     def test_seed_controls_random_problems(self):
         a = build_problem("spd", "double_bracket", seed=1)

@@ -315,8 +315,9 @@ def test_implicit_midpoint_minkowski_calls(monkeypatch):
     # Three Minkowski products per non-zero stage: its square, <s, v> for
     # the reflection at the midpoint s, and <theta, w> after it. The stages
     # are evaluated once per iteration but the last, so 4 non-zero
-    # evaluations in 5 iterations. Plus the zero initial stage's norm, the
-    # update's norm and the step's residual.
+    # evaluations in 5 iterations. Plus the update's norm and the step's
+    # residual; the implicit start is a zero stage and takes no norm:
+    # 3 * 4 + 2.
     problem = build_problem("hyperbolic", "lorentz_linear", dim=16, seed=7)
     t = builtin_tableau("implicit_midpoint")
     calls = []
@@ -324,7 +325,7 @@ def test_implicit_midpoint_minkowski_calls(monkeypatch):
     monkeypatch.setattr(hyperbolic, "minkowski", lambda y, z: calls.append(y) or real(y, z))
     _, record = cssi_step(HYPERBOLOID, t, problem.field, problem.spec.y0, 0.01)
     assert record.fixed_point_iterations == 5
-    assert len(calls) == 3 * record.fixed_point_iterations
+    assert len(calls) == 14
 
 
 # sha256 of the trajectory bytes of lorentz_linear dim 16 seed 7, h = 0.01 to

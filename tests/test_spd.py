@@ -13,7 +13,6 @@ from symmflow.core import (
     dexpinv_series_apply,
     integrate,
     lts_axiom_residuals,
-    order_matched_terms,
 )
 from symmflow.errors import (
     DimensionMismatch,
@@ -316,6 +315,34 @@ class TestChartExponentials:
         want = dexpinv_series_apply(coefficients, lambda w: spd.ad2(theta, w), pulled)
         assert _relative_gap(got, want) <= 1e-12
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        half_spread=st.floats(0.0, 2.5),
+        log10_cond=st.floats(0.0, 6.0),
+    )
+    def test_closed_tangent_matches_long_series(self, seed, n, half_spread, log10_cond):
+        # The closed dExp^{-1}, r / sinh(r) on each eigenvalue r^2 of
+        # ad^2_theta, against the series of nested commutators. The series
+        # converges for r = |w_j - w_k| / 2 < pi; theta's eigenvalues are
+        # drawn to span exactly 2 half_spread, so r <= 2.5, where 80 terms
+        # leave a remainder below 1e-15 of the pulled-back value.
+        y, _, value = self._draw(seed, n, 0.0, log10_cond)
+        rng = np.random.default_rng([seed, 1])
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        w = rng.uniform(-1.0, 1.0, n)
+        w[0], w[-1] = -1.0, 1.0
+        theta = symmetrize((q * (half_spread * w + rng.uniform(-1.0, 1.0))) @ q.T)
+        base = spd.SPD.base(y)
+        got = spd.SPD.tangent(base, theta, spd.SPD.stage(theta)[1], value, None, 1.0)
+        half = mat_exp(-0.5 * theta)
+        pulled = symmetrize(half @ (base[2] @ value @ base[2]) @ half)
+        want = dexpinv_series_apply(
+            dexpinv_coefficients(80), lambda x: spd.ad2(theta, x), pulled
+        )
+        assert _relative_gap(got, want) <= 1e-12
+
     def test_rk4_step_takes_five_decompositions(self, monkeypatch):
         # One for sqrt(y), one per non-zero stage (3) shared by its exp and
         # tangent, and one for the update. The dExp^{-1} series is applied in
@@ -370,13 +397,14 @@ def _oracle_sensitivity(tableau, field, y, h, terms, y_next):
 @example(seed=1437, h=0.0625)
 @example(seed=108, h=0.1)
 def test_default_step_matches_ambient_step(method, n, seed, h):
-    # The default series (order-matched terms) against the ambient oracle,
+    # The series route, truncated to ceil((p - 1)/2) terms for a tableau of
+    # order p, against the ambient oracle's series with the same terms,
     # which takes no square root and iterates the commutator bracket.
     rng = np.random.default_rng(seed)
     y = spd.random_spd(rng, n)
     field = double_bracket_field(spd.random_sym(rng, n, scale=3.0))
     t = builtin_tableau(method)
-    terms = order_matched_terms(t.declared_order)
+    terms = t.declared_order // 2
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             via_ambient = ambient_step("spd", t, field, y, h, terms=terms)
@@ -388,14 +416,14 @@ def test_default_step_matches_ambient_step(method, n, seed, h):
             # matrices that floats hold, so the stepper must raise or return
             # a matrix that `check_point` refuses.
             try:
-                via_step, _ = cssi_step(spd.SPD, t, field, y, h)
+                via_step, _ = cssi_step(spd.SPD, t, field, y, h, dexpinv_terms=terms)
             except (NumericalFailure, StepTooLarge):
                 return
             with pytest.raises(NotOnManifold):
                 spd.SPD.check_point(via_step)
             return
     try:
-        via_step, _ = cssi_step(spd.SPD, t, field, y, h)
+        via_step, _ = cssi_step(spd.SPD, t, field, y, h, dexpinv_terms=terms)
     except StepTooLarge:
         # The stage guard may fire only where the oracle's output is not an
         # SPD matrix either.
@@ -418,11 +446,13 @@ def test_default_step_matches_ambient_step(method, n, seed, h):
 
 # sha256 of the trajectory bytes of double_bracket n = 4 seed 42, h = 0.01 to
 # T = 2, taken with numpy 2.4.6 and OpenBLAS 0.3.31 on x86-64. An edit that
-# reorders the arithmetic of a step changes them. rk4's default series has
-# two terms, so the forced two-term run takes the same bits.
+# reorders the arithmetic of a step changes them. The default run was
+# re-taken when it moved from the order-matched two-term series to the
+# closed dExp^{-1}: its largest gap to the two-term trajectory is 5.9e-14
+# (the entries reach 2.8).
 TRAJECTORY_SHA256 = {
     ("implicit_midpoint", 1): "167897cd2f5089bbbae2111750ce879ddba90fd3b0a04fbb1dcc375b1b9085e3",
-    ("rk4", None): "1224d62411671a06e0a32240c22dbb3a6e6630495336d235c5a44eaa45cd90de",
+    ("rk4", None): "a849ebe8f7bc601fdd43eec05fff69f41be0bed6a8a34d31225d1a567eb9b478",
     ("rk4", 2): "1224d62411671a06e0a32240c22dbb3a6e6630495336d235c5a44eaa45cd90de",
 }
 
