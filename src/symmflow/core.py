@@ -32,6 +32,13 @@ A stage that the tableau makes zero, an empty row or the start of the
 fixed-point iteration, is handed to `tangent` as theta None: its field is
 taken at y itself, with no Exp and no stage data.
 
+A stage is refused in two places, each once. `space.stage` raises on a
+theta outside Exp's domain (StepTooLarge or NonSpacelikeTangent), for the
+stages and the update alike, so `exp` and `tangent` only compute. The
+stepper raises StepTooLarge on a stage whose magnitude reaches the space's
+`stage_limit`, where dExp^{-1} blows up (the sphere's conjugate point);
+the update applies no dExp^{-1}, so that test is the stages' alone.
+
 Explicit tableaus are solved stage by stage; implicit ones by fixed-point
 iteration on the stage tangents, stopping once the max stage change is at
 most 1e-14 * max(1, |y|_inf) (cap 50 iterations). The test comes before the
@@ -45,6 +52,7 @@ NumericalFailure.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -85,7 +93,8 @@ class SpaceContract(ABC):
     immutable and keeps no state between calls.
     """
 
-    #: stages whose magnitude reaches this raise StepTooLarge
+    #: stages (not the update) whose magnitude reaches this raise StepTooLarge:
+    #: the bound of dExp^{-1}, which the stepper tests
     stage_limit: float = math.inf
 
     @abstractmethod
@@ -94,7 +103,15 @@ class SpaceContract(ABC):
 
     @abstractmethod
     def stage(self, theta):
-        """(phi, data): the stage magnitude, for records and guards, and its stage data."""
+        """(phi, data): the stage magnitude, for records and guards, and its stage data.
+
+        The one place a geometry refuses theta for Exp: StepTooLarge (or
+        NonSpacelikeTangent) where Exp cannot be taken in double precision,
+        for the update as for the stages, so `exp` and `tangent` need no
+        guard of their own. A non-finite theta is not refused here: it
+        returns a non-finite phi, on which the stepper raises
+        NumericalFailure.
+        """
 
     @abstractmethod
     def exp(self, base, theta, data):
@@ -230,13 +247,18 @@ def _resolve_coefficients(dexpinv_terms):
     """
     if dexpinv_terms is None:
         return None
+    return dexpinv_coefficients(_count("dexpinv_terms", dexpinv_terms))
+
+
+def _count(name: str, value) -> int:
+    """value as an int: TypeError unless it is an integer, ValueError if negative."""
     try:
-        terms = operator.index(dexpinv_terms)
+        value = operator.index(value)
     except TypeError:
-        raise TypeError(f"dexpinv_terms must be an integer or None: {dexpinv_terms!r}") from None
-    if terms < 0:
-        raise ValueError(f"dexpinv_terms must be >= 0: {terms}")
-    return dexpinv_coefficients(terms)
+        raise TypeError(f"{name} must be an integer: {value!r}") from None
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0: {value}")
+    return value
 
 
 def _bad_stage(phi: float, limit: float) -> SymmflowError:
@@ -273,8 +295,12 @@ def _step_map(space: SpaceContract, tableau: ButcherTableau, field, h, dexpinv_t
 
     Whatever does not change from step to step is taken here once: the
     tableau rows and b as their non-zero terms, the series coefficients and
-    the space's bound methods.
+    the space's bound methods. An h that is not a real number (complex, a
+    string, None) raises TypeError here, before any step.
     """
+    if not isinstance(h, numbers.Real):
+        raise TypeError(f"step size h must be a real number: {h!r}")
+    h = float(h)
     coefficients = _resolve_coefficients(dexpinv_terms)
     # Python floats: cheaper to test and scale by than numpy scalars.
     rows = [_nonzero_terms(row) for row in tableau.a.tolist()]
@@ -392,18 +418,24 @@ def march(step_fn, space: SpaceContract, y0, n_steps: int):
     Returns (trajectory, records) with n_steps + 1 points starting at y0.
     Points that fail `space.within_tolerance` are renormalized before being
     stored (the pre-renormalization residual stays in the record). A step
-    map must raise on a non-finite point, as `cssi_step`'s does. Step errors
+    map must raise on a non-finite point, as `cssi_step`'s does. Each step
+    takes `space.base` of the point before it, which refuses a point that
+    has left the manifold (SPD's loss of positive definiteness); the last
+    point gets the same test, once, as part of the last step. Step errors
     are re-raised with `step_index` attached.
     """
     y = y0
     trajectory = [y0]
     records: list[StepRecord] = []
+    last = n_steps - 1
     for step in range(n_steps):
         try:
             y_next, record = step_fn(y)
             if not space.within_tolerance(y_next, record.residual):
                 y_next = space.renormalize(y_next)
                 record.renormalized = True
+            if step == last:
+                space.base(y_next)
         except SymmflowError as err:
             err.step_index = step
             raise
@@ -430,11 +462,13 @@ def integrate(
     The step map is built once for the whole integration.
 
     y0 must lie on the manifold: `space.check_point` raises NotOnManifold
-    (or DimensionMismatch) before the first step otherwise. A `dexpinv_terms`
-    that is neither None nor a non-negative integer raises TypeError or
-    ValueError, also before the first step.
+    (or DimensionMismatch) before the first step otherwise. An h that is not
+    a real number, an n_steps that is not an integer, or a `dexpinv_terms`
+    that is neither None nor an integer raises TypeError, and a negative
+    n_steps or `dexpinv_terms` raises ValueError, also before the first step.
     """
     step = _step_map(space, tableau, field, h, dexpinv_terms, diagnostics)
+    n_steps = _count("n_steps", n_steps)
     space.check_point(y0)
     return march(step, space, y0, n_steps)
 

@@ -41,9 +41,17 @@ Exp point's 3, and three products.
 `transport` and `dexpinv` stay as the composed reference route that the
 checks and tests compare against.
 
-The Exp-time guards raise NonSpacelikeTangent for a tangent whose m has
-the wrong sign beyond round-off (possible only when B is indefinite), and
-StepTooLarge for phi above `exp_limit`; `exp` and `tangent` both run them.
+S(x)/x and phi/S(phi) - 1 are taken directly, with no small-angle series:
+they round within an ulp of it, and the shortest non-zero phi, the root
+of the smallest subnormal square, is about 2e-162, so there is no 0/0.
+
+A stage is refused once, in `stage`, for the Exp and the stage tangent
+taken from it (the update's Exp included): NonSpacelikeTangent for a
+tangent whose m has the wrong sign beyond round-off (possible only when B
+is indefinite), and StepTooLarge for a finite phi above `exp_limit`. `exp`
+and `tangent` only compute. The sphere's cap below its conjugate point,
+`stage_limit`, bounds dExp^{-1}, which the update does not apply, so the
+stepper tests it on the stages alone.
 """
 
 from __future__ import annotations
@@ -56,7 +64,6 @@ import numpy as np
 from .core import SpaceContract, dexpinv_series_tail, require_ndarray
 from .errors import NonSpacelikeTangent, NotOnManifold, NumericalFailure, StepTooLarge
 
-PHI_SMALL = 1e-4
 # The smallest normal float: products below it round to absolute error.
 _TINY = sys.float_info.min
 
@@ -66,8 +73,8 @@ class CurvedSpace(SpaceContract):
 
     `form(u, v)` is B as a Python float and (c, s) are (C, S).
     `stage_limit` caps stages in the stepper (the sphere's conjugate point);
-    `exp_limit` caps phi in every Exp (the hyperboloid's coordinates grow
-    like e^phi, and its residual would drown in round-off).
+    `exp_limit` caps phi in `stage`, so in every Exp (the hyperboloid's
+    coordinates grow like e^phi, and its residual would drown in round-off).
     """
 
     def __init__(self, form, kappa, c, s, *, stage_limit=math.inf, exp_limit=math.inf):
@@ -82,36 +89,26 @@ class CurvedSpace(SpaceContract):
         return y
 
     def stage(self, theta):
-        """(phi, (m, phi)) of a stage tangent, from its one square m."""
+        """(phi, (m, phi)) of a stage tangent, from its one square m, after
+        the stage guards; a non-finite phi passes, for the stepper to refuse."""
         m = self.form(theta, theta)
-        phi = math.sqrt(max(self.kappa * m, 0.0))
-        return phi, (m, phi)
-
-    def _guard(self, theta, m, phi):
-        """The Exp-time guards: NonSpacelikeTangent, then StepTooLarge."""
         km = self.kappa * m
         # The Euclidean scale theta.theta only matters when km < 0; below
         # _TINY, where it underflows, round-off is absolute.
         if km < 0.0 and km < -1e-12 * float(theta @ theta) - _TINY:
             raise NonSpacelikeTangent(f"tangent is not spacelike: <theta, theta> = {m:.3e}")
-        if phi > self.exp_limit:
+        # A km of -inf (m overflowed on a timelike theta) is not a zero stage.
+        phi = math.sqrt(max(km, 0.0)) if km != -math.inf else math.inf
+        if self.exp_limit < phi < math.inf:
             raise StepTooLarge(f"stage norm {phi:.3f} > {self.exp_limit}")
+        return phi, (m, phi)
 
-    def _s_over(self, x):
-        """S(x)/x, by its series below PHI_SMALL."""
-        if x < PHI_SMALL:
-            p2 = x * x
-            return 1.0 - self.kappa * p2 / 6.0 + p2 * p2 / 120.0
-        return self.s(x) / x
-
-    def exp(self, base, theta, data, t: float = 1.0):
-        """Exp_base(t theta) for t = 1 or 1/2, after the Exp-time guards."""
-        m, phi = data
-        self._guard(theta, m, phi)
+    def exp(self, base, theta, data):
+        """Exp_base(theta)."""
+        _, phi = data
         if phi == 0.0:
             return base
-        tphi = t * phi
-        return (self._s_over(tphi) * t) * theta + self.c(tphi) * base
+        return (self.s(phi) / phi) * theta + self.c(phi) * base
 
     def transport(self, mid, w):
         """Parallel transport of w back to the base: reflection at the midpoint."""
@@ -134,10 +131,6 @@ class CurvedSpace(SpaceContract):
         """tau, dExp^{-1}'s factor less 1 on the part B-normal to theta, for phi > 0."""
         if coefficients is not None:
             return dexpinv_series_tail(coefficients, -m)
-        if phi < PHI_SMALL:
-            # Through the rounded phi/S(phi), as the pinned trajectories take it.
-            p2 = phi * phi
-            return (1.0 + self.kappa * p2 / 6.0 + 7.0 * p2 * p2 / 360.0) - 1.0
         return phi / self.s(phi) - 1.0
 
     def tangent(self, base, theta, data, value, coefficients, h):
@@ -150,11 +143,10 @@ class CurvedSpace(SpaceContract):
         if theta is None:
             return h * value
         m, phi = data
-        self._guard(theta, m, phi)
         if phi == 0.0:  # the reflection at y; see the module docstring
             return h * value - (2.0 * h * self.form(base, value)) * base
         half = 0.5 * phi
-        a, c = self._s_over(half) * 0.5, self.c(half)
+        a, c = self.s(half) / half * 0.5, self.c(half)
         tau = self._tail(m, phi, coefficients)
         g = h * (1.0 + tau)
         if self.kappa < 0.0:

@@ -10,11 +10,11 @@ orthogonal to y and spacelike, so phi = sqrt(-<v, v>) is real and
 This is `HYPERBOLOID`, the kappa = -1 case of `curved.CurvedSpace`, with B
 the Minkowski form and (C, S) = (cosh, sinh). Unlike the sphere there is no
 conjugate-point singularity: the inverse differential of the exponential
-*contracts* the normal component by phi/sinh(phi) <= 1. Every Exp, the
-midpoint Exp(v/2) included, still rejects a tangent v of rapidity phi > 30,
-because the ambient coordinates grow like e^phi and the hyperboloid
-residual would drown in round-off, and a v that is timelike beyond
-round-off.
+*contracts* the normal component by phi/sinh(phi) <= 1. `HYPERBOLOID.stage`
+still rejects a tangent v of rapidity phi > 30, because the ambient
+coordinates grow like e^phi and the hyperboloid residual would drown in
+round-off, and a v that is timelike beyond round-off; every Exp, the
+update's included, is taken from a stage it has accepted.
 
 Every per-stage quantity derives from the one Minkowski square
 m = <theta, theta>, which `HYPERBOLOID.stage` takes. `HYPERBOLOID`'s methods

@@ -24,7 +24,9 @@ s and s^{-1}, the step's base data (y_l, s, s^{-1}). A zero stage needs
 none: its tangent is s^{-1} h F(y_l) s^{-1}, and the Exp of a zero update is
 y_l itself. All products of symmetric factors are re-symmetrized to
 suppress round-off drift, which keeps the output symmetric; its positive
-definiteness rests on the stage guard of `SpdSpace.exp`.
+definiteness rests on the stage guard of `SpdSpace.stage`, which refuses a
+stage or an update whose eigenvalues spread too far for exp(theta), and on
+`base`, which refuses a point that is not positive definite all the same.
 """
 
 from __future__ import annotations
@@ -101,13 +103,15 @@ class SpdSpace(SpaceContract):
     `base` takes once per step with s^{-1}; a non-SPD y raises
     NonPositiveDefinite. The stage data of a non-zero theta is its
     eigendecomposition (w, V), which gives exp(theta) and the stage tangent;
-    a zero stage takes none, and its Exp is y itself. `exp` raises
+    a zero stage takes none, and its Exp is y itself. `stage` raises
     StepTooLarge on a theta whose eigenvalues w, with y's own 0, spread
-    beyond `MAX_STAGE_SPREAD` = ln(1/eps): exp(theta) scales y by e^w, and
-    past that spread the smallest factor is lost under the round-off of the
-    largest, so the output need not be positive definite, or the stage has
-    left y's scale behind (rk4 on the field 1000 I from I at h = 0.1 gave
-    5.2e21 for the exact 101). `spd.ad2` is not
+    beyond `MAX_STAGE_SPREAD` = ln(1/eps), so `exp` and `tangent` only
+    compute: exp(theta) scales y by e^w, and past that spread the smallest
+    factor is lost under the round-off of the largest, so the output need
+    not be positive definite, or the stage has left y's scale behind (rk4
+    on the field 1000 I from I at h = 0.1 gave 5.2e21 for the exact 101).
+    The spread bounds a stage, not the point it reaches, which `base`
+    refuses if it is not positive definite. `spd.ad2` is not
     called on the stage path: it stays as the tests' independent route to
     the series.
     """
@@ -118,19 +122,22 @@ class SpdSpace(SpaceContract):
 
     def stage(self, theta):
         phi = math.sqrt(float(np.vdot(theta, theta)))
-        return phi, (sym_eig(theta) if 0.0 < phi < math.inf else None)
+        if not 0.0 < phi < math.inf:
+            return phi, None
+        data = sym_eig(theta)
+        lo, hi = data[0][0], data[0][-1]
+        # The spread of {lo, 0, hi}: y itself is at 0 in stage coordinates.
+        if hi - lo > MAX_STAGE_SPREAD or hi > MAX_STAGE_SPREAD or lo < -MAX_STAGE_SPREAD:
+            raise StepTooLarge(
+                f"stage eigenvalues {lo:.3f} to {hi:.3f} spread past {MAX_STAGE_SPREAD} with 0"
+            )
+        return phi, data
 
     def exp(self, base, theta, data):
         y, s, _ = base
         if data is None:
             return y
         w, v = data
-        lo, hi = w[0], w[-1]
-        # The spread of {lo, 0, hi}: y itself is at 0 in stage coordinates.
-        if hi - lo > MAX_STAGE_SPREAD or hi > MAX_STAGE_SPREAD or lo < -MAX_STAGE_SPREAD:
-            raise StepTooLarge(
-                f"stage eigenvalues {lo:.3f} to {hi:.3f} spread past {MAX_STAGE_SPREAD} with 0"
-            )
         sv = s @ v
         return symmetrize((sv * np.exp(w)) @ sv.T)
 
@@ -167,8 +174,10 @@ class SpdSpace(SpaceContract):
         skew = self.invariant_residual(y)
         if not self.within_tolerance(y, skew):
             raise NotOnManifold(f"matrix is not symmetric: max |y - y^T| = {skew:.3e}")
+        # The eigenvalues `base` tests, so a point that a step's `base`
+        # accepts passes here too.
         try:
-            require_positive_definite(np.linalg.eigvalsh(y), y)
+            require_positive_definite(sym_eig(y)[0], y)
         except NonPositiveDefinite as err:
             raise NotOnManifold(str(err)) from err
 

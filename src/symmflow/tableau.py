@@ -64,10 +64,6 @@ class ButcherTableau:
         return self.b.shape[0]
 
     @property
-    def c(self) -> np.ndarray:
-        return self.a.sum(axis=1)
-
-    @property
     def is_explicit(self) -> bool:
         return self.kind == "explicit"
 

@@ -1,4 +1,8 @@
-from symmflow.checks import identity_suite, run_all
+import numpy as np
+import pytest
+
+from symmflow.checks import ambient_step, identity_suite, run_all
+from symmflow.tableau import builtin_tableau
 
 # Every check `symmflow check` runs, in order, with its bound: a check that
 # is dropped, renamed or re-bounded fails here. The transport checks are
@@ -46,3 +50,11 @@ def test_identities_hold_at_every_seed():
     # round-off, so a correct reflection passes whatever the seed.
     failing = [(seed, r) for seed in range(41) for r in identity_suite(seed) if not r.passed]
     assert not failing, failing
+
+
+def test_ambient_step_refuses_implicit_tableaus():
+    with pytest.raises(ValueError, match="explicit tableaus only"):
+        ambient_step(
+            "sphere", builtin_tableau("implicit_midpoint"), lambda p: np.zeros_like(p),
+            np.array([0.0, 0.0, 1.0]), 0.1,
+        )

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from symmflow.core import (
 from symmflow.errors import (
     DimensionMismatch,
     FixedPointDivergence,
+    NonPositiveDefinite,
     NotOnManifold,
     NumericalFailure,
     StepTooLarge,
@@ -39,6 +42,10 @@ class TestSeriesCoefficients:
 
     def test_fourth_term(self):
         assert abs(dexpinv_coefficients(4)[3] - 127.0 / 604800.0) < 1e-20
+
+    def test_negative_term_count_rejected(self):
+        with pytest.raises(ValueError, match="terms"):
+            dexpinv_coefficients(-1)
 
     def test_zero_terms_is_identity(self):
         w = np.array([1.0, 2.0])
@@ -105,6 +112,19 @@ class TestGenericStep:
         assert np.max(np.abs(out - math.exp(0.3) * np.eye(3))) < 1e-13
         out2 = ambient_step("spd", t, lambda p: np.eye(3), y, 0.3)
         assert np.max(np.abs(out2 - math.exp(0.3) * np.eye(3))) < 1e-13
+
+    def test_last_point_gets_the_base_test(self):
+        # The point that ends the pinned run above is refused by the test the
+        # next step's `base` would make, at the last step, with one more
+        # eigendecomposition for the whole call.
+        space, y0, field = _random_run("spd", np.random.default_rng(12719), 7)
+        euler = builtin_tableau("euler")
+        with pytest.raises(NonPositiveDefinite) as excinfo, np.errstate(all="ignore"):
+            integrate(space, euler, field, y0, 0.279296875, 4)
+        assert excinfo.value.step_index == 3
+        trajectory, _ = integrate(space, euler, field, y0, 0.279296875, 3)
+        with pytest.raises(NotOnManifold):
+            space.check_point(cssi_step(space, euler, field, trajectory[-1], 0.279296875)[0])
 
     def test_integrate_zero_steps(self):
         t = builtin_tableau("rk4")
@@ -351,6 +371,82 @@ def test_bad_dexpinv_terms_rejected_before_the_first_step(terms, error):
     assert calls == []
 
 
+@pytest.mark.parametrize("h", [0.1j, np.complex128(0.1), "0.1", None, [0.1], np.array(0.1)])
+@pytest.mark.parametrize("geometry", sorted(_ON_MANIFOLD))
+def test_bad_step_size_rejected_before_the_first_step(geometry, h):
+    # Unrefused, numpy would cast a complex h * value to its real part in
+    # place (hyperboloid), or the stepper would blame the field (SPD).
+    space, y0 = _ON_MANIFOLD[geometry]
+    calls = []
+    field = lambda p: calls.append(p) or _field(geometry)(p)
+    with pytest.raises(TypeError, match="step size h"):
+        integrate(space, builtin_tableau("rk4"), field, y0, h, 3)
+    with pytest.raises(TypeError, match="step size h"):
+        cssi_step(space, builtin_tableau("rk4"), field, y0, h)
+    assert calls == []
+
+
+@pytest.mark.parametrize("geometry", sorted(_ON_MANIFOLD))
+def test_real_step_sizes_of_any_type_step_as_floats(geometry):
+    space, y0 = _ON_MANIFOLD[geometry]
+    t = builtin_tableau("rk4")
+    want, _ = integrate(space, t, _field(geometry), y0, 0.05, 2)
+    for h in (np.float64(0.05), Fraction(1, 20)):
+        got, records = integrate(space, t, _field(geometry), y0, h, 2)
+        assert np.stack(got).tobytes() == np.stack(want).tobytes()
+        assert all(type(record.h) is float for record in records)
+
+
+@pytest.mark.parametrize(
+    "n_steps, error", [(-1, ValueError), (2.0, TypeError), ("3", TypeError), (None, TypeError)]
+)
+def test_bad_step_count_rejected_before_the_first_step(n_steps, error):
+    # Unrefused, a negative n_steps would return [y0] as if it had stepped.
+    calls = []
+    with pytest.raises(error, match="n_steps"):
+        integrate(
+            sphere.SPHERE, builtin_tableau("rk4"), lambda p: calls.append(p) or np.zeros_like(p),
+            np.array([0.0, 0.0, 1.0]), 0.01, n_steps,
+        )
+    assert calls == []
+
+
+@pytest.mark.parametrize("geometry", sorted(_ON_MANIFOLD))
+def test_non_finite_update_raises_numerical_failure(geometry):
+    # Euler's one stage is zero, so a field of entries 1e200 passes it and
+    # the update's square overflows.
+    space, y0 = _ON_MANIFOLD[geometry]
+    euler = builtin_tableau("euler")
+    with pytest.raises(NumericalFailure, match="update tangent is not finite"), np.errstate(
+        all="ignore"
+    ):
+        integrate(space, euler, lambda p: np.full(p.shape, 1e200), y0, 0.1, 3)
+
+
+def test_timelike_infinite_field_value_raises_numerical_failure():
+    # Its Minkowski square is +inf, which must not read as a stage of norm
+    # 0: euler would return the start point, unmoved, for every step.
+    for method in ("euler", "rk4", "implicit_midpoint"):
+        with pytest.raises(NumericalFailure, match="not finite") as excinfo, np.errstate(
+            all="ignore"
+        ):
+            integrate(
+                hyperbolic.HYPERBOLOID, builtin_tableau(method),
+                lambda p: np.array([0.0, 0.0, np.inf]), hyperbolic.base_point(2), 0.1, 3,
+            )
+        assert excinfo.value.step_index == 0
+
+
+def test_spd_march_renormalizes_a_skewed_point():
+    skewed = np.array([[2.0, 0.5 + 1e-9], [0.5, 1.0]])
+    trajectory, records = march(_returning(skewed, spd.SPD), spd.SPD, np.eye(2), 2)
+    assert all(record.renormalized for record in records)
+    assert all(record.residual == spd.SPD.invariant_residual(skewed) for record in records)
+    for point in trajectory[1:]:
+        assert np.array_equal(point, point.T)
+        assert np.max(np.abs(point - skewed)) <= 1e-9
+
+
 OFF_MANIFOLD = {
     "sphere-norm-2": ("sphere", np.array([0.0, 0.0, 2.0])),
     "hyperbolic-lower-sheet": ("hyperbolic", -hyperbolic.base_point(2)),
@@ -518,13 +614,14 @@ def _random_run(geometry, rng, n):
 )
 # Its last point has condition 4.7e14 and residual 0, which `check_point`
 # refuses as not positive definite (past its floor of 1e-13 of the largest
-# entry); the next step would raise NonPositiveDefinite.
+# entry): `integrate` raises NonPositiveDefinite at the last step.
 @example(geometry="spd", n=7, seed=12719, h=0.279296875, method="euler", terms=None)
 def test_integrate_stays_on_the_manifold_or_raises(geometry, n, seed, h, method, terms):
-    # Either every point of the run is on the manifold, within the
-    # residual that `march` keeps (1e-12 of the point's scale), or the run
-    # raises a typed error: large h puts stages past the guards and implicit
-    # steps past their fixed-point cap, and nothing else may escape.
+    # Either every point of the run is on the manifold, as `check_point`
+    # tests y0 (the residual that `march` keeps, the sheet, positive
+    # definiteness), or the run raises a typed error: large h puts stages
+    # past the guards and implicit steps past their fixed-point cap, and
+    # nothing else may escape.
     space, y0, field = _random_run(geometry, np.random.default_rng(seed), n)
     with np.errstate(all="ignore"):
         try:
@@ -534,7 +631,112 @@ def test_integrate_stays_on_the_manifold_or_raises(geometry, n, seed, h, method,
         except SymmflowError:
             return
     for y in trajectory:
-        assert space.within_tolerance(y, space.invariant_residual(y))
+        space.check_point(y)
+
+
+# Malformed inputs to `integrate`, by what they replace; "as-is" leaves it.
+_BAD_Y0 = {
+    "as-is": lambda y: y,
+    "complex": lambda y: y.astype(complex),
+    "bool": lambda y: y > 0.5,
+    "object": lambda y: y.astype(object),
+    "str": lambda y: y.astype(str),
+    "int": lambda y: y.astype(np.int64),
+    "list": lambda y: y.tolist(),
+    "none": lambda y: None,
+    "extra-axis": lambda y: y[..., None],
+    "empty": lambda y: y[:0],
+    "nan": lambda y: np.full_like(y, np.nan),
+    "inf": lambda y: np.full_like(y, np.inf),
+    "doubled": lambda y: 2.0 * y,
+    "negated": lambda y: -y,
+}
+_BAD_VALUES = {
+    "as-is": lambda v: v,
+    "wrong-shape": lambda v: np.zeros(v.size + 1),
+    "flattened": lambda v: v.ravel() if v.ndim > 1 else v[None],
+    "complex": lambda v: v.astype(complex),
+    "object": lambda v: v.astype(object),
+    "bool": lambda v: v > 0.0,
+    "str": lambda v: v.astype(str),
+    "list": lambda v: v.tolist(),
+    "none": lambda v: None,
+    "scalar": lambda v: 1.0,
+    "nan": lambda v: np.full_like(v, np.nan),
+    "inf": lambda v: np.full_like(v, np.inf),
+    "minus-inf-entry": lambda v: np.where(np.arange(v.size).reshape(v.shape) == 0, -np.inf, v),
+    "huge": lambda v: 1e200 * v,
+    "float32": lambda v: v.astype(np.float32),
+    "int": lambda v: v.astype(np.int64),
+}
+_ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.complex_numbers(),
+    st.just([1]), st.just(np.complex128(1.0)),
+)
+
+
+# Each input is well formed in about half the draws, so that a good share
+# of the draws reach the field.
+@settings(max_examples=500, deadline=None)
+@given(
+    geometry=st.sampled_from(sorted(_ON_MANIFOLD)),
+    method=st.sampled_from(tableau_names()),
+    y0_kind=st.one_of(st.just("as-is"), st.sampled_from(sorted(_BAD_Y0))),
+    value_kind=st.sampled_from(sorted(_BAD_VALUES)),
+    good_calls=st.integers(0, 6),
+    h=st.one_of(st.floats(1e-3, 0.5), st.one_of(st.floats(), st.integers(-2, 2), _ANY_VALUE)),
+    n_steps=st.one_of(
+        st.integers(0, 3), st.one_of(st.integers(-2, -1), st.floats(-2.0, 3.0), _ANY_VALUE)
+    ),
+    terms=st.one_of(
+        st.none(), st.integers(0, 4), st.one_of(st.integers(-2, -1), st.floats(0.0, 3.0), _ANY_VALUE)
+    ),
+)
+def test_malformed_input_raises_only_documented_errors(
+    geometry, method, y0_kind, value_kind, good_calls, h, n_steps, terms
+):
+    # Whatever `integrate` is handed, it returns or raises a SymmflowError, or
+    # the TypeError / ValueError that names a malformed h, n_steps or
+    # dexpinv_terms. Nothing else may escape (numpy's ComplexWarning is an
+    # error under the suite's warning filter).
+    space, y0 = _ON_MANIFOLD[geometry]
+    field = _bad_after(good_calls, _field(geometry), _BAD_VALUES[value_kind])
+    try:
+        with np.errstate(all="ignore"):
+            integrate(
+                space, builtin_tableau(method), field, _BAD_Y0[y0_kind](y0), h, n_steps,
+                dexpinv_terms=terms,
+            )
+    except SymmflowError:
+        pass
+    except (TypeError, ValueError) as err:
+        assert re.match(r"(step size h|n_steps|dexpinv_terms) must be", str(err)), err
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    geometry=st.sampled_from(["sphere", "hyperbolic", "spd"]),
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    base_distance=st.floats(0.0, 2.0),
+)
+def test_lts_axioms_hold_at_the_check_suites_bound(geometry, n, seed, base_distance):
+    # `checks.lts_suite`'s three axioms and bound, on unit tangents at a
+    # random base point (up to distance 2 from the origin on the hyperboloid,
+    # where the tangents' coordinates grow like cosh 2).
+    rng = np.random.default_rng(seed)
+    if geometry == "sphere":
+        base = sphere.random_point(rng, n)
+        args = [sphere.random_tangent(rng, base) for _ in range(5)]
+        bracket = sphere.SPHERE.triple
+    elif geometry == "hyperbolic":
+        base = hyperbolic.random_point(rng, n, scale=base_distance)
+        args = [hyperbolic.random_tangent(rng, base) for _ in range(5)]
+        bracket = hyperbolic.HYPERBOLOID.triple
+    else:
+        args = [spd.random_sym(rng, n) for _ in range(5)]
+        bracket = spd.triple
+    assert all(r <= 1e-12 for r in lts_axiom_residuals(bracket, *args))
 
 
 class TestLtsAxioms:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from symmflow import cli, hyperbolic
 from symmflow.cli import main
-from symmflow.errors import ReferenceUnavailable
+from symmflow.errors import IoFailure, ReferenceUnavailable
 from symmflow.harness import (
     ConvergenceReport,
     converge,
@@ -58,6 +58,32 @@ class TestProblems:
         # A spec's y0 passes the same `check_point` as `integrate`'s.
         with pytest.raises(ValueError, match="not a point of"):
             ProblemSpec(space, "any", len(y0) - 1, {}, y0, 1.0)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("torus", "any", 2, {}, np.array([0.6, 0.0, 0.8]), 1.0), "unknown space"),
+            (("sphere", "any", 2, {}, np.array([0.6, 0.0, 0.8]), 0.0), "horizon T"),
+            (("sphere", "any", 2, {}, np.array([0.6, 0.0, 0.8]), math.inf), "horizon T"),
+        ],
+    )
+    def test_spec_validation(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            ProblemSpec(*args)
+
+    @pytest.mark.parametrize(
+        "name, options, message",
+        [
+            ("rigid_body", {"dim": 3}, "2-sphere"),
+            ("rigid_body", {"inertia": (1.0, -2.0, 3.0)}, "inertia"),
+            ("rigid_body", {"inertia": (1.0, 2.0)}, "inertia"),
+            ("rotation", {"dim": 3}, "2-sphere"),
+            ("rotation", {"axis": (0.0, 1.0)}, "axis"),
+        ],
+    )
+    def test_sphere_problem_validation(self, name, options, message):
+        with pytest.raises(ValueError, match=message):
+            build_problem("sphere", name, **options)
 
     def test_spec_measures_the_residual_against_the_scale(self):
         # At rapidity 6, <y, y> - 1 rounds to 7e-12, within 1e-12 of y.y.
@@ -150,6 +176,29 @@ class TestRunProblem:
         assert summary["max_residual"] <= 1e-12
         assert "axis_component" in summary["conserved_drift"]
         assert summary["endpoint_error"] < 1e-5
+
+    def test_diagnostics_summary_has_the_worst_tangency_defect(self):
+        problem = build_problem("sphere", "rigid_body", T=1.0)
+        _, records, summary = run_problem(problem, "rk4", 0.1, diagnostics=True)
+        assert summary["max_tangency_defect"] == max(r.tangency_defect for r in records)
+        assert summary["max_tangency_defect"] <= 1e-15
+        _, _, summary = run_problem(problem, "rk4", 0.1)
+        assert "max_tangency_defect" not in summary
+
+    def test_empty_trajectory_needs_a_header(self, tmp_path):
+        with pytest.raises(ValueError, match="header"):
+            emit_csv([], str(tmp_path / "empty.csv"), 0.1)
+
+    def test_unwritable_or_unreadable_paths_raise_io_failure(self, tmp_path):
+        missing = tmp_path / "missing" / "out.csv"
+        problem = build_problem("sphere", "rotation", T=1.0)
+        with pytest.raises(IoFailure, match="could not write trajectory"):
+            run_problem(problem, "rk4", 0.5, out=str(missing))
+        with pytest.raises(IoFailure, match="could not read"):
+            read_csv(str(missing))
+        report = converge(problem, "rk4", [0.1, 0.05])
+        with pytest.raises(IoFailure, match="could not write report"):
+            emit_report(report, str(missing))
 
     def test_empty_trajectory_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
@@ -336,6 +385,22 @@ class TestCli:
         code = main(["run", "--config", str(config), "--method", "rk4"])
         assert code == 0
         assert "rk4" in capsys.readouterr().out
+
+    def test_run_prints_the_tangency_defect_under_diagnostics(self, capsys):
+        assert main(RUN_ROTATION + ["--diagnostics"]) == 0
+        assert "max tangency defect: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
+    def test_unloadable_config_prints_one_error_line(self, content, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(RUN_ROTATION + ["--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: config {path}" if content == "[1, 2]"
+                                       else f"error: could not load config {path}")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_missing_required_flag_fails(self, capsys):
         code = main(["run", "--space", "sphere"])

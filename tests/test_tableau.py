@@ -74,6 +74,21 @@ def test_wrong_declared_order_rejected_at_construction():
         ButcherTableau("bad", np.array([[0.0]]), np.array([1.0]), declared_order=2)
 
 
+@pytest.mark.parametrize(
+    "a, b, order, message",
+    [
+        ([[0.0, 0.0]], [1.0], 1, "inconsistent tableau shapes"),
+        ([[0.0]], [0.5, 0.5], 1, "inconsistent tableau shapes"),
+        ([0.0], [1.0], 1, "inconsistent tableau shapes"),
+        ([[np.nan]], [1.0], 1, "finite"),
+        ([[0.0]], [1.0], 0, "declared_order"),
+    ],
+)
+def test_malformed_tableau_rejected_at_construction(a, b, order, message):
+    with pytest.raises(ValueError, match=message):
+        ButcherTableau("bad", np.array(a), np.array(b), declared_order=order)
+
+
 def test_weights_must_sum_to_one():
     with pytest.raises(ValueError):
         ButcherTableau("bad", np.array([[0.0]]), np.array([0.9]), declared_order=1)
