@@ -39,7 +39,7 @@ from .core import (
     triple_bracket_oracle,
 )
 from .curved import CurvedSpace
-from .linalg import mat_exp, minkowski, spd_inv, spd_sqrt, symmetrize
+from .linalg import mat_exp, minkowski, spd_inv, spd_sqrt, sym_eig, symmetrize
 from .spd import SPD, random_spd, random_sym
 from .tableau import builtin_tableau
 
@@ -319,15 +319,18 @@ def oracle_suite(seed: int = 0, samples: int = 100) -> list[CheckResult]:
             worst = max(worst, float(np.max(np.abs(closed - series))))
     out.append(CheckResult("oracle", "closed dexpinv vs 6-term series", worst, 1e-9))
 
-    # SPD double bracket: two bracket orders agree with hand expansion.
+    # SPD double bracket in the eigenbasis of theta = V diag(w) V^T, on which
+    # `SpdSpace.tangent` rests: [x, theta, theta] = V [(V^T x V) o d^2/4] V^T
+    # with d_jk = w_j - w_k.
     worst = 0.0
     for _ in range(samples):
         theta = random_sym(rng, 4)
-        w = random_sym(rng, 4)
-        direct = spd.ad2(theta, w)
-        via_triple = spd.triple(w, theta, theta)
-        worst = max(worst, float(np.max(np.abs(direct - via_triple))))
-    out.append(CheckResult("oracle", "spd double bracket forms", worst, 1e-13))
+        x = random_sym(rng, 4)
+        w, v = sym_eig(theta)
+        d = w[:, None] - w
+        eigenbasis = v @ ((v.T @ x @ v) * (0.25 * d * d)) @ v.T
+        worst = max(worst, float(np.max(np.abs(spd.triple(x, theta, theta) - eigenbasis))))
+    out.append(CheckResult("oracle", "spd double bracket in eigenbasis", worst, 1e-13))
 
     # The stepper against the ambient oracle step.
     tableau = builtin_tableau("rk4")

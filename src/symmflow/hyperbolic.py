@@ -16,8 +16,11 @@ coordinates grow like e^phi and the hyperboloid residual would drown in
 round-off, and a v that is timelike beyond round-off; every Exp, the
 update's included, is taken from a stage it has accepted.
 
-Every per-stage quantity derives from the one Minkowski square
-m = <theta, theta>, which `HYPERBOLOID.stage` takes. `HYPERBOLOID`'s methods
+Every per-stage scalar derives from the one Minkowski square
+m = <theta, theta>, which `HYPERBOLOID.stage` takes; the stage tangent is the
+sphere's formula with B the Minkowski form, summed from <theta, v>, <y, v>
+and <theta, y>: four Minkowski products and 8 whole-vector passes per stage,
+14 products per rk4 step. `HYPERBOLOID`'s methods
 are the hyperboloid's one set of closed forms; the matrices below
 (`sigma`, `quadratic`, `hat_matrix`, `lorentz_boost`) are independent
 routes kept for the checks.

@@ -64,12 +64,6 @@ def triple(v, w, z) -> np.ndarray:
     return 0.25 * (c @ z - z @ c)
 
 
-def ad2(theta, w) -> np.ndarray:
-    """Double bracket w -> (1/4) [[w, theta], theta] feeding the series."""
-    c = w @ theta - theta @ w
-    return 0.25 * (c @ theta - theta @ c)
-
-
 def sqrt_pair(y):
     """(sqrt(y), sqrt(y)^{-1}) from a single eigendecomposition."""
     w, v = sym_eig(y)
@@ -111,9 +105,7 @@ class SpdSpace(SpaceContract):
     not be positive definite, or the stage has left y's scale behind (rk4
     on the field 1000 I from I at h = 0.1 gave 5.2e21 for the exact 101).
     The spread bounds a stage, not the point it reaches, which `base`
-    refuses if it is not positive definite. `spd.ad2` is not
-    called on the stage path: it stays as the tests' independent route to
-    the series.
+    refuses if it is not positive definite.
     """
 
     def base(self, y):

@@ -34,7 +34,7 @@ INVENTORY = [
     ("oracle", "hyperbolic triple vs commutators", 1e-12),
     ("oracle", "hyperbolic dexpinv round trip", 1e-13),
     ("oracle", "closed dexpinv vs 6-term series", 1e-9),
-    ("oracle", "spd double bracket forms", 1e-13),
+    ("oracle", "spd double bracket in eigenbasis", 1e-13),
     ("oracle", "stepper vs ambient step (sphere)", 1e-13),
     ("oracle", "stepper vs ambient step (hyperbolic)", 1e-13),
     ("oracle", "stepper vs ambient step (spd)", 1e-10),

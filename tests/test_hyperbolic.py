@@ -311,12 +311,12 @@ class TestExpGuards:
 
 
 def test_implicit_midpoint_minkowski_calls(monkeypatch):
-    # Three Minkowski products per non-zero stage: its square, <s, v> for
-    # the reflection at the midpoint s, and <theta, w> after it. The stages
-    # are evaluated once per iteration but the last, so 4 non-zero
-    # evaluations in 5 iterations. Plus the update's norm and the step's
-    # residual; the implicit start is a zero stage and takes no norm:
-    # 3 * 4 + 2.
+    # Four Minkowski products per non-zero stage: its square, and
+    # <theta, v>, <y, v> and <theta, y>, from which the stage tangent is
+    # summed. The stages are evaluated once per iteration but the last, so 4
+    # non-zero evaluations in 5 iterations. Plus the update's norm and the
+    # step's residual; the implicit start is a zero stage and takes no norm:
+    # 4 * 4 + 2.
     problem = build_problem("hyperbolic", "lorentz_linear", dim=16, seed=7)
     t = builtin_tableau("implicit_midpoint")
     calls = []
@@ -324,7 +324,7 @@ def test_implicit_midpoint_minkowski_calls(monkeypatch):
     monkeypatch.setattr(hyperbolic, "minkowski", lambda y, z: calls.append(y) or real(y, z))
     _, record = cssi_step(HYPERBOLOID, t, problem.field, problem.spec.y0, 0.01)
     assert record.fixed_point_iterations == 5
-    assert len(calls) == 14
+    assert len(calls) == 18
 
 
 # sha256 of the trajectory bytes of lorentz_linear dim 16 seed 7, h = 0.01 to
@@ -332,10 +332,13 @@ def test_implicit_midpoint_minkowski_calls(monkeypatch):
 # reorders the arithmetic of a step changes them. Re-taken when h and the
 # dExp^{-1} factor were folded into one scaling of the transported value: the
 # trajectories moved from the composed route's by at most 2.2e-16 (implicit
-# midpoint) and 1.4e-17 (rk4).
+# midpoint) and 1.4e-17 (rk4). Re-taken when the hyperboloid's stage tangent
+# was summed from its Minkowski products, as the sphere's is, instead of
+# from the rounded midpoint and transported value: both trajectories moved
+# by at most 5.6e-17, with the same fixed-point iteration counts.
 TRAJECTORY_SHA256 = {
-    "implicit_midpoint": "0251d79856db28ba1e2a738d712a6966021b852f2562fe592a3593f0c30bb06a",
-    "rk4": "38e613a0a9d86d20ab3a870a55f3f68d4d3d47fa52262a350a0bd4b954dca5ef",
+    "implicit_midpoint": "e1112b84c4c0f9455445715aa45b8acef792a13770115cdcc5446d1518ce11e8",
+    "rk4": "8c6a41beb7240cf40833f71cfaf6374b1cc1ed5c300275ec419efc8a1ba75209",
 }
 
 

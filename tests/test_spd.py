@@ -70,18 +70,18 @@ class TestTripleAndAd2:
         # theta = [[0,1],[1,0]], w = diag(1,-1): [[w,theta],theta] = 4w.
         theta = np.array([[0.0, 1.0], [1.0, 0.0]])
         w = np.diag([1.0, -1.0])
-        assert np.array_equal(spd.ad2(theta, w), w)
+        assert np.array_equal(spd.triple(w, theta, theta), w)
 
     def test_ad2_diagonal_pair_vanishes(self):
-        assert np.max(np.abs(spd.ad2(np.diag([1.0, 2.0]), np.diag([3.0, 5.0])))) == 0.0
+        assert np.max(np.abs(spd.triple(np.diag([3.0, 5.0]), np.diag([1.0, 2.0]), np.diag([1.0, 2.0])))) == 0.0
 
     def test_ad2_linear_in_w(self):
         rng = np.random.default_rng(63)
         theta = spd.random_sym(rng, 4)
         w1 = spd.random_sym(rng, 4)
         w2 = spd.random_sym(rng, 4)
-        lhs = spd.ad2(theta, 2.0 * w1 + 3.0 * w2)
-        rhs = 2.0 * spd.ad2(theta, w1) + 3.0 * spd.ad2(theta, w2)
+        lhs = spd.triple(2.0 * w1 + 3.0 * w2, theta, theta)
+        rhs = 2.0 * spd.triple(w1, theta, theta) + 3.0 * spd.triple(w2, theta, theta)
         assert np.max(np.abs(lhs - rhs)) <= 1e-13
 
     def test_result_symmetric(self):
@@ -195,7 +195,7 @@ class TestCsgiStep:
         def gap(scale):
             theta = scale * theta_dir
             w = scale * w_dir
-            ad2 = lambda x: spd.ad2(theta, x)
+            ad2 = lambda x: spd.triple(x, theta, theta)
             a = dexpinv_series_apply(dexpinv_coefficients(1), ad2, w)
             b = dexpinv_series_apply(dexpinv_coefficients(3), ad2, w)
             return float(np.max(np.abs(a - b)))
@@ -312,7 +312,7 @@ class TestChartExponentials:
         got = spd.SPD.tangent(base, theta, spd.SPD.stage(theta)[1], value, coefficients, 1.0)
         half = mat_exp(-0.5 * theta)
         pulled = symmetrize(half @ (s_inv @ value @ s_inv) @ half)
-        want = dexpinv_series_apply(coefficients, lambda w: spd.ad2(theta, w), pulled)
+        want = dexpinv_series_apply(coefficients, lambda w: spd.triple(w, theta, theta), pulled)
         assert _relative_gap(got, want) <= 1e-12
 
     @settings(max_examples=150, deadline=None)
@@ -339,7 +339,7 @@ class TestChartExponentials:
         half = mat_exp(-0.5 * theta)
         pulled = symmetrize(half @ (base[2] @ value @ base[2]) @ half)
         want = dexpinv_series_apply(
-            dexpinv_coefficients(80), lambda x: spd.ad2(theta, x), pulled
+            dexpinv_coefficients(80), lambda x: spd.triple(x, theta, theta), pulled
         )
         assert _relative_gap(got, want) <= 1e-12
 
@@ -351,8 +351,8 @@ class TestChartExponentials:
         real = spd.sym_eig
         monkeypatch.setattr(spd, "sym_eig", lambda a: calls.append(a) or real(a))
         brackets = []
-        real_ad2 = spd.ad2
-        monkeypatch.setattr(spd, "ad2", lambda t, w: brackets.append(w) or real_ad2(t, w))
+        real_triple = spd.triple
+        monkeypatch.setattr(spd, "triple", lambda u, v, w: brackets.append(u) or real_triple(u, v, w))
         y = spd.random_spd(np.random.default_rng(75), 5)
         field = double_bracket_field(np.diag(np.arange(1.0, 6.0)))
         cssi_step(spd.SPD, builtin_tableau("rk4"), field, y, 0.01)
